@@ -76,12 +76,16 @@ class LTISystem:
             raise ConfigError(f"dt must be non-negative, got {dt}")
         if dt == 0.0:
             return np.array(x0, dtype=float, copy=True)
-        x0 = np.asarray(x0, dtype=float)
-        xss = self.steady_state(u)
+        # ys = A^{-1} B u = -x_ss; folding the negation is exact:
+        # x0 - (-ys) == x0 + ys and z + (-ys) == z - ys, bit for bit.
+        ys = self._AinvB @ u
         # e^{A dt} v  =  V diag(e^{w dt}) V^{-1} v
-        coeffs = self._Vinv @ (x0 - xss)
-        x = self._V @ (np.exp(self._w * dt) * coeffs) + xss
-        return np.real_if_close(x).real.astype(float)
+        coeffs = self._Vinv @ (x0 + ys)
+        x = self._V @ (np.exp(self._w * dt) * coeffs) - ys
+        # A real basis gives a real x (``.real`` is x itself); a complex
+        # one (imaginary parts ~1e-17 on some 4-socket networks) keeps
+        # exactly the real parts ``real_if_close`` would have returned.
+        return x.real
 
     def response_curve(
         self, x0: np.ndarray, u: np.ndarray, times: np.ndarray

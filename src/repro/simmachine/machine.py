@@ -234,15 +234,23 @@ class Machine:
     def run_to_completion(self, procs: list[SimProcess],
                           max_time: float = 1e7) -> None:
         """Run until every process in *procs* has finished."""
+        procs = list(procs)
+        n = len(procs)
+        sim = self.sim
         guard = 0
-        while any(p.state != ST_FINISHED for p in procs):
-            if not self.sim.step():
+        first = 0   # procs[:first] have finished; a process never restarts
+        while True:
+            while first < n and procs[first].state == ST_FINISHED:
+                first += 1
+            if first == n:
+                return
+            if not sim.step():
                 stuck = [p for p in procs if p.state != ST_FINISHED]
                 raise DeadlockError(
                     "no events left but processes unfinished: "
                     + ", ".join(repr(p) for p in stuck)
                 )
-            if self.sim.now > max_time:
+            if sim.now > max_time:
                 raise SimulationError(f"exceeded max_time={max_time}")
             guard += 1
             if guard > 100_000_000:

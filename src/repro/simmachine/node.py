@@ -93,6 +93,12 @@ class SimNode:
                     SimCore(config.name, s, c, cid, config.opps, spec)
                 )
                 cid += 1
+        #: each socket's cores in core-id order, built once: socket power
+        #: is recomputed on every activity change
+        self._socket_cores = [
+            [c for c in self.cores if c.socket == s]
+            for s in range(config.n_sockets)
+        ]
         self.chip = HwmonChip(
             chip_name=f"{config.name}-smc",
             sensors=config.sensor_profile(),
@@ -110,14 +116,8 @@ class SimNode:
     # ------------------------------------------------------------------
     # Power / activity plumbing
 
-    def _socket_cores(self, socket: int) -> list[SimCore]:
-        return [c for c in self.cores if c.socket == socket]
-
     def _socket_power(self, socket: int) -> float:
-        cores = self._socket_cores(socket)
-        return self.power_model.socket_power(
-            [c.activity for c in cores], [c.opp for c in cores]
-        )
+        return self.power_model.cores_socket_power(self._socket_cores[socket])
 
     def _sync_all_sockets(self, t: float) -> None:
         for s in range(self.config.n_sockets):

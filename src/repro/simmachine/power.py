@@ -93,6 +93,17 @@ class PowerModel:
         dyn = sum(self.core_dynamic_power(a, o) for a, o in zip(activities, opps))
         return p.p_uncore + p.leak0 + dyn
 
+    def cores_socket_power(self, cores) -> float:
+        """:meth:`socket_power` of objects carrying ``activity`` and
+        ``opp`` (the simulator's cores), without building the two lists.
+
+        Same terms summed in the same order by the same ``sum``, so the
+        result is bit-identical to :meth:`socket_power`.
+        """
+        p = self.params
+        dyn = sum([self.core_dynamic_power(c.activity, c.opp) for c in cores])
+        return p.p_uncore + p.leak0 + dyn
+
     def peak_socket_power(self, n_cores: int, opp: OperatingPoint) -> float:
         """Socket power with every core at activity 1.0 (for sizing checks)."""
         return self.socket_power([1.0] * n_cores, [opp] * n_cores)

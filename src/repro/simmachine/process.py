@@ -185,6 +185,7 @@ class SimProcess:
         self.machine = machine
         self._gen = gen
         self.node_name = node_name
+        self._node = None    # the SimNode, looked up on first use
         self.core_id = core_id
         self.pid = pid
         self.name = name
@@ -205,8 +206,14 @@ class SimProcess:
     # -- identity ------------------------------------------------------
     @property
     def node(self):
-        """The :class:`SimNode` this process runs on."""
-        return self.machine.node(self.node_name)
+        """The :class:`SimNode` this process runs on.
+
+        Cached: a process never changes node (:meth:`rebind` moves it
+        between cores of the same node only)."""
+        node = self._node
+        if node is None:
+            node = self._node = self.machine.node(self.node_name)
+        return node
 
     @property
     def core(self):

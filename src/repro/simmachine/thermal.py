@@ -119,7 +119,10 @@ class ThermalNetwork:
         self._sys_cache: dict[float, LTISystem] = {}
         self._system = self._build_system(self.fan_rpm)
         self.last_time = 0.0
-        self._powers = np.zeros(n_sockets)
+        # The input vector is preallocated; ``_powers`` is a view of its
+        # socket slots and the ambient slot is refreshed on every read.
+        self._u = np.zeros(n_sockets + 1)
+        self._powers = self._u[:n_sockets]
         if initial_c is None:
             # Start at the idle steady state for zero socket power, which is
             # ambient everywhere (leakage fold makes it slightly above).
@@ -173,7 +176,10 @@ class ThermalNetwork:
         return sys_
 
     def _input_vector(self) -> np.ndarray:
-        return np.concatenate([self._powers, [self.ambient_c]])
+        """``[P_0 .. P_{S-1}, T_ambient]`` — the live buffer, not a copy."""
+        u = self._u
+        u[-1] = self.ambient_c
+        return u
 
     # ------------------------------------------------------------------
     # Public API

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.core.instrument import instrument
 from repro.util.errors import ConfigError
@@ -57,6 +56,10 @@ def make_test_matrix(n: int, seed: int):
     iterations; we reproduce that property directly: lambda_min = 0.1 well
     separated from the rest of the spectrum in [1, 2].
     """
+    # only real-data mode needs scipy; importing it here keeps it off the
+    # cold start of every ``tempest npb`` run
+    import scipy.sparse as sp
+
     rng = np.random.default_rng(seed)
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))
     eigs = np.concatenate([[0.1], np.linspace(1.0, 2.0, n - 1)])

@@ -2,7 +2,13 @@
 
 import pytest
 
-from repro.simmachine.events import Simulator
+from repro.simmachine.events import (
+    Event,
+    InstrumentedSimulator,
+    ScrambledTieSimulator,
+    Simulator,
+    _mix64,
+)
 from repro.util.errors import SimulationError
 
 
@@ -111,3 +117,98 @@ def test_max_events_guard():
     sim.schedule(0.0, loop)
     with pytest.raises(SimulationError):
         sim.run(max_events=1000)
+
+
+# ----------------------------------------------------------------------
+# Heap entries are (time, seq, Event) tuples
+
+
+def test_heap_holds_time_seq_event_tuples():
+    sim = Simulator()
+    ev = sim.schedule(1.5, lambda: None)
+    assert sim._heap == [(1.5, 0, ev)]
+    assert isinstance(ev, Event) and (ev.time, ev.seq) == (1.5, 0)
+    assert ev.origin is None
+    with pytest.raises(AttributeError):
+        ev.unknown_tag = 1          # __slots__: no per-event dict
+
+
+def test_cancelled_tuple_entry_is_skipped_by_step_and_peek():
+    sim = Simulator()
+    fired = []
+    first = sim.schedule(1.0, lambda: fired.append("first"))
+    sim.schedule(2.0, lambda: fired.append("second"))
+    sim.cancel(first)
+    # the cancelled entry still heads the heap (lazy deletion) ...
+    assert sim._heap[0][2] is first
+    # ... but the peek drops it and reports the next live time
+    assert sim._peek_time() == 2.0
+    assert sim.step() is True
+    assert fired == ["second"] and sim.now == 2.0
+    assert sim.step() is False
+
+
+def test_pending_counts_live_tuple_entries():
+    sim = Simulator()
+    evs = [sim.schedule(float(t), lambda: None) for t in (3, 1, 2, 1)]
+    assert sim.pending == 4 and len(sim._heap) == 4
+    sim.cancel(evs[1])
+    sim.cancel(evs[1])
+    assert sim.pending == 3 and len(sim._heap) == 4
+    sim.step()
+    assert sim.pending == 2
+    sim.run()
+    assert sim.pending == 0 and sim._heap == []
+
+
+def test_instrumented_simulator_tags_origin_on_the_event():
+    sim = InstrumentedSimulator()
+
+    def subsystem_a():
+        return sim.schedule_at(1.0, lambda: None)
+
+    def subsystem_b():
+        return sim.schedule(1.0, lambda: None)
+
+    ev_a, ev_b = subsystem_a(), subsystem_b()
+    assert ev_a.origin.endswith(":subsystem_a")
+    assert ev_b.origin.endswith(":subsystem_b")
+    # the heap entry carries the tagged event itself
+    assert {entry[2] for entry in sim._heap} == {ev_a, ev_b}
+    sim.run()
+    (group,) = sim.finish()
+    assert group.time == 1.0
+    assert group.origins == (ev_a.origin, ev_b.origin)
+
+
+def test_scrambled_same_time_tie_orders_by_unique_key():
+    fired = []
+    sim = ScrambledTieSimulator(seed=5)
+    evs = [sim.schedule_at(1.0, lambda i=i: fired.append(i))
+           for i in range(16)]
+    keys = [ev.seq for ev in evs]
+    # splitmix64 is a bijection: every insertion index gets its own key,
+    # so tuple comparison never falls through to the Event
+    assert len(set(keys)) == len(keys)
+    assert keys == [_mix64(sim._scramble_seed ^ i) for i in range(16)]
+    sim.run()
+    assert fired == sorted(range(16), key=lambda i: keys[i])
+    assert fired != list(range(16))        # a real permutation
+    # time still dominates the scrambled key
+    late = ScrambledTieSimulator(seed=5)
+    order = []
+    late.schedule_at(2.0, lambda: order.append("late"))
+    late.schedule_at(1.0, lambda: order.append("early"))
+    late.run()
+    assert order == ["early", "late"]
+
+
+def test_scrambled_tie_with_cancelled_entry():
+    sim = ScrambledTieSimulator(seed=2)
+    fired = []
+    evs = [sim.schedule_at(1.0, lambda i=i: fired.append(i))
+           for i in range(4)]
+    sim.cancel(evs[2])
+    sim.run()
+    assert sorted(fired) == [0, 1, 3]
+    assert sim.pending == 0

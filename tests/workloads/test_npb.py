@@ -359,3 +359,31 @@ def test_builtin_verification_suite():
     for r in results:
         assert r.verified, r.describe()
         assert "VERIFICATION SUCCESSFUL" in r.describe()
+
+
+def test_npb_import_leaves_scipy_unloaded():
+    """scipy loads only when CG's real-data mode builds its matrix, so
+    importing the benchmarks (every ``tempest npb`` cold start) skips it."""
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys\n"
+         "from repro.workloads.npb import BENCHMARKS\n"
+         "print(sorted(m for m in sys.modules\n"
+         "             if m == 'scipy' or m.startswith('scipy.')))"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+def test_cg_real_data_still_builds_sparse_matrix():
+    A = cg.make_test_matrix(16, seed=3)
+    assert A.shape == (16, 16) and A.format == "csr"
