@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import gc
 import json
+import math
 import os
 import struct
 import time
@@ -281,7 +282,7 @@ def _make_accumulator(symtab, batch, vectorized=True):
 
 def _assert_profiles_match(stream_prof, batch_prof) -> None:
     """The acceptance contract: streaming output matches batch exactly,
-    except Med which is within +-0.5 degC (P2 estimator)."""
+    except the moments, which agree to summation rounding."""
     assert set(stream_prof.functions) == set(batch_prof.functions)
     for name, bf in batch_prof.functions.items():
         sf = stream_prof.functions[name]
@@ -297,7 +298,8 @@ def _assert_profiles_match(stream_prof, batch_prof) -> None:
                 (bs.n, bs.min, bs.max, bs.mod)               # exact
             assert abs(ss.avg - bs.avg) <= 1e-9 * max(1.0, abs(bs.avg))
             assert abs(ss.var - bs.var) <= 1e-9 * max(1.0, abs(bs.var))
-            assert abs(ss.med - bs.med) <= 0.5               # documented band
+            assert ss.med == bs.med or (
+                math.isnan(ss.med) and math.isnan(bs.med))   # exact
 
 
 def run_streaming_benchmark(n_records: int = N_RECORDS) -> dict:

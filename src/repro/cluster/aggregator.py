@@ -571,7 +571,7 @@ class Aggregator:
 
         No raw record ever reached this process for the leaf-fed nodes —
         the profile comes from the summary algebra, which is exact for
-        counts/times/moments (``med`` within the documented P² tolerance).
+        counts/times/medians and exact up to rounding for moments.
         """
         return self.composed_summary().to_profile()
 

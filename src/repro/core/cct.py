@@ -43,9 +43,9 @@ the other side's ``epsilon_s`` as extra error (it may have evicted
 them), and the merged ``epsilon_s`` is the sum of both.  The merge of
 two budgeted trees is pruned back to the budget, so budgeted trees are
 *closed* under merge.  Like the PR 7 summary laws the operation is
-commutative and (absent eviction) associative — times and counts
-exactly, estimator moments up to summation-order rounding — with the
-empty tree as a two-sided identity; ``tests/core/test_cct.py``
+commutative and (absent eviction) associative — times, counts and
+medians exactly, estimator moments up to summation-order rounding —
+with the empty tree as a two-sided identity; ``tests/core/test_cct.py``
 property-tests all of it.
 
 **Flat projection.**  Summing ``excl_s``/``calls`` over every context
@@ -458,7 +458,7 @@ class ContextTree:
         ``epsilon_s`` adds; the result re-prunes to this tree's budget,
         so budgeted trees are closed under merge.  Commutative (and,
         absent eviction, associative) to the PR 7 tolerances: structure,
-        times, counts and errors exactly; estimator moments up to
+        times, counts, errors and medians exactly; estimator moments up to
         summation-order rounding.
         """
         sidx_map = [self.sensor_index(s) for s in other.sensor_names]

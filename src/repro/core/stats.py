@@ -59,11 +59,10 @@ class SensorStats:
         ``M2 = n * var``).  ``med`` and ``mod`` cannot be recovered from
         the finished statistics alone, so they are documented
         best-effort: ``med`` is the sample-weighted blend of the two
-        medians clamped into the merged range (within the streaming
-        engine's ±0.5 °C contract for same-population splits), ``mod``
-        is the mode of the larger population (ties toward the smaller
-        value, matching the batch Counter's determinism).  Exact merges
-        of ``med``/``mod`` live upstream in
+        medians clamped into the merged range, ``mod`` is the mode of
+        the larger population (ties toward the smaller value, matching
+        the batch Counter's determinism).  Exact merges of
+        ``med``/``mod`` live upstream in
         :meth:`repro.core.streamprof.OnlineStats.merge`, which keeps the
         full estimator state; this is the closure on the *finished*
         statistic set.
@@ -116,12 +115,9 @@ class SensorStats:
         canonically :class:`repro.core.streamprof.OnlineStats`).
 
         Tolerance vs the exact batch :func:`compute_sensor_stats` over the
-        same samples: ``n``/``min``/``max``/``mod`` are exact; ``avg`` /
-        ``var`` / ``sdv`` differ only by summation-order rounding (Welford
-        vs numpy pairwise, relative error ~1e-12); ``med`` is the P²
-        estimate — exact below six samples, within ±0.5 °C beyond for
-        quantized thermal readings (the bound the streaming benchmark
-        gate asserts).
+        same samples: ``n``/``min``/``max``/``med``/``mod`` are exact;
+        ``avg`` / ``var`` / ``sdv`` differ only by summation-order
+        rounding (Welford vs numpy pairwise, relative error ~1e-12).
         """
         if acc.n == 0:
             return cls.empty()

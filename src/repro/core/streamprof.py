@@ -17,9 +17,8 @@ Two modes share one interface:
   into constant-size state the moment it arrives:
 
   - Welford mean/variance (bulk Chan merges for whole chunks), running
-    min/max, a P² quantile estimator for ``Med`` and an exact
-    quantized-bin counter for ``Mod`` per (function, sensor) pair
-    (:class:`OnlineStats`);
+    min/max and an exact quantized-bin counter that yields ``Mod`` and
+    the exact ``Med`` per (function, sensor) pair (:class:`OnlineStats`);
   - an incremental replay of the ENTER/EXIT stream (the exact semantics
     of the timeline replay builder, including lenient repair: mismatched
     EXITs unwind, timestamp regressions clamp, open frames close at the
@@ -55,13 +54,11 @@ whose converted timestamps are globally non-decreasing, the streaming
 mode is chunking-invariant for every exact field — inclusive/exclusive
 times, call counts, arcs, span, ``n``/``min``/``max``/``mod``/``med``
 are bit-identical for chunk sizes 1, 7, 4096 and whole-run, and match
-the batch mode exactly (``med`` stays bit-stable because the P²
-estimator is fed element-wise in stream order even on the bulk path).
+the batch mode exactly (``med`` is read from the exact bins).
 ``avg``/``var``/``sdv`` are chunk-size-dependent only in their rounding:
 the fast path folds each chunk's samples with one Chan/Welford merge,
 so moments agree with the scalar engine and with batch within relative
-~1e-12 (the suite asserts 1e-9), and ``med`` is within ±0.5 °C of the
-exact median (P² bound; see
+~1e-12 (the suite asserts 1e-9; see
 :meth:`~repro.core.stats.SensorStats.from_accumulator`).  Streams that
 are only per-process time-ordered (cross-core TSC skew) may attribute
 boundary samples differently; the divergence window is bounded by the
@@ -116,16 +113,16 @@ class OnlineStats:
 
     ``n``/``min``/``max`` are exact; ``avg``/``var``/``sdv`` use
     Welford's recurrence per sample and Chan's parallel merge per bulk
-    block (exact multiset, summation-order rounding only); ``mod`` is an
-    exact counter over the quantized readings (sensor readings are
-    quantized, so equal readings are bit-identical floats — the same
-    assumption the batch ``Counter`` makes; memory is O(distinct
-    readings), bounded by the sensor's quantization range); ``med`` is the
-    P² (Jain & Chlamtac) single-pass median estimator — exact below six
-    samples, approximate beyond.
+    block (exact multiset, summation-order rounding only); ``mod`` and
+    ``med`` read an exact counter over the quantized readings (sensor
+    readings are quantized, so equal readings are bit-identical floats —
+    the same assumption the batch ``Counter`` makes; memory is
+    O(distinct readings), bounded by the sensor's quantization range).
+    ``med`` is therefore the exact median, bit-identical to
+    ``np.median`` over the same samples.
     """
 
-    __slots__ = ("n", "min", "max", "_mean", "_m2", "_bins", "_q", "_pos")
+    __slots__ = ("n", "min", "max", "_mean", "_m2", "_bins")
 
     def __init__(self):
         self.n = 0
@@ -134,8 +131,6 @@ class OnlineStats:
         self._mean = 0.0
         self._m2 = 0.0
         self._bins: dict[float, int] = {}
-        self._q: list[float] = []        # marker heights (samples until 5)
-        self._pos: Optional[list[int]] = None   # marker positions, 1-based
 
     def push(self, x: float) -> None:
         """Fold one sample into every estimator."""
@@ -149,20 +144,17 @@ class OnlineStats:
         self._mean += delta / self.n
         self._m2 += delta * (x - self._mean)
         self._bins[x] = self._bins.get(x, 0) + 1
-        self._push_med(x)
 
     def push_many(self, values) -> None:
         """Fold a contiguous block of samples (stream order).
 
         The bulk path behind the vectorized accumulator: ``n``, ``min``,
-        ``max`` and the mode bins reduce array-wise; the running
-        mean/M2 folds the block in with one Chan parallel-Welford merge
-        (not a per-element loop), so a block of *k* samples costs O(k)
-        numpy work plus the inherently sequential P² update.  The P²
-        markers are fed element-wise in order, which keeps ``med``
-        bit-identical between bulk and scalar feeding; ``avg``/``var``
-        differ from per-element pushes only in summation rounding
-        (~1e-12 relative).
+        ``max`` and the bins reduce array-wise; the running mean/M2 folds
+        the block in with one Chan parallel-Welford merge (not a
+        per-element loop), so a block of *k* samples costs O(k) numpy
+        work.  ``avg``/``var`` differ from per-element pushes only in
+        summation rounding (~1e-12 relative); every other field is
+        bit-identical.
         """
         arr = np.asarray(values, dtype=np.float64)
         k = arr.size
@@ -195,62 +187,6 @@ class OnlineStats:
         uq, cnt = np.unique(arr, return_counts=True)
         for v, c in zip(uq.tolist(), cnt.tolist()):
             bins[v] = bins.get(v, 0) + c
-        push_med = self._push_med
-        for v in arr.tolist():
-            push_med(v)
-
-    # -- P² median ------------------------------------------------------
-    def _push_med(self, x: float) -> None:
-        q = self._q
-        if self._pos is None:
-            q.append(x)
-            if len(q) == 5:
-                q.sort()
-                self._pos = [1, 2, 3, 4, 5]
-            return
-        pos = self._pos
-        if x < q[0]:
-            q[0] = x
-            k = 0
-        elif x >= q[4]:
-            if x > q[4]:
-                q[4] = x
-            k = 3
-        else:
-            k = 0
-            while x >= q[k + 1]:
-                k += 1
-        for i in range(k + 1, 5):
-            pos[i] += 1
-        n5 = pos[4]
-        desired = (
-            1.0,
-            (n5 - 1) * 0.25 + 1.0,
-            (n5 - 1) * 0.50 + 1.0,
-            (n5 - 1) * 0.75 + 1.0,
-            float(n5),
-        )
-        for i in (1, 2, 3):
-            d = desired[i] - pos[i]
-            if (d >= 1.0 and pos[i + 1] - pos[i] > 1) or \
-               (d <= -1.0 and pos[i - 1] - pos[i] < -1):
-                step = 1 if d >= 0 else -1
-                cand = self._parabolic(i, step)
-                if not (q[i - 1] < cand < q[i + 1]):
-                    cand = q[i] + step * (q[i + step] - q[i]) / (
-                        pos[i + step] - pos[i]
-                    )
-                q[i] = cand
-                pos[i] += step
-
-    def _parabolic(self, i: int, d: int) -> float:
-        q, pos = self._q, self._pos
-        return q[i] + d / (pos[i + 1] - pos[i - 1]) * (
-            (pos[i] - pos[i - 1] + d) * (q[i + 1] - q[i])
-            / (pos[i + 1] - pos[i])
-            + (pos[i + 1] - pos[i] - d) * (q[i] - q[i - 1])
-            / (pos[i] - pos[i - 1])
-        )
 
     # -- derived statistics --------------------------------------------
     @property
@@ -271,11 +207,21 @@ class OnlineStats:
 
     @property
     def med(self) -> float:
-        if self.n == 0:
+        """The exact median: the bins walked to ranks ``(n-1)//2`` and
+        ``n//2``, averaged as ``np.median`` does (NaN if any sample is)."""
+        bins = self._bins
+        if self.n == 0 or any(map(math.isnan, bins)):
             return math.nan
-        if self._pos is None:
-            return float(np.median(self._q))
-        return float(self._q[2])
+        lo_rank, hi_rank = (self.n - 1) // 2, self.n // 2
+        seen = 0
+        lo = math.nan
+        for v in sorted(bins):
+            if seen <= lo_rank:
+                lo = v
+            seen += bins[v]
+            if seen > hi_rank:
+                return v if lo_rank == hi_rank else (lo + v) / 2
+        return math.nan
 
     @property
     def mod(self) -> float:
@@ -294,8 +240,6 @@ class OnlineStats:
         out._mean = self._mean
         out._m2 = self._m2
         out._bins = dict(self._bins)
-        out._q = list(self._q)
-        out._pos = None if self._pos is None else list(self._pos)
         return out
 
     def merge(self, other: "OnlineStats") -> None:
@@ -304,14 +248,10 @@ class OnlineStats:
         The algebra the fan-in tier is built on: associative and
         commutative up to floating-point rounding, with a freshly
         constructed estimator as the identity.  ``n``/``min``/``max`` and
-        the mode bins merge exactly; ``mean``/``m2`` merge with Chan's
-        parallel update (the same multiset as sequential feeding,
-        summation-order rounding only, ~1e-12 relative); the P² median
-        markers merge by weighted-quantile rebuild over both marker sets
-        (each marker weighted by half the rank distance to its
-        neighbours), which keeps ``med`` within the documented ±0.5 °C
-        tolerance for quantized thermal readings.  Below five combined
-        samples the raw-sample lists concatenate and ``med`` stays exact.
+        the bins (hence ``mod`` and ``med``) merge exactly;
+        ``mean``/``m2`` merge with Chan's parallel update (the same
+        multiset as sequential feeding, summation-order rounding only,
+        ~1e-12 relative).
         """
         k = other.n
         if k == 0:
@@ -324,10 +264,7 @@ class OnlineStats:
             self._mean = donor._mean
             self._m2 = donor._m2
             self._bins = donor._bins
-            self._q = donor._q
-            self._pos = donor._pos
             return
-        new_q, new_pos = self._merged_med(other)
         n0 = self.n
         tot = n0 + k
         if other.min < self.min:
@@ -341,92 +278,16 @@ class OnlineStats:
         bins = self._bins
         for v, c in other._bins.items():
             bins[v] = bins.get(v, 0) + c
-        self._q, self._pos = new_q, new_pos
-
-    def _med_points(self) -> list[tuple[float, float]]:
-        """The P² state as weighted sample points (height, weight).
-
-        Raw samples (below five) weigh 1 each; established markers carry
-        half the rank distance to their neighbours, rescaled so the five
-        weights total ``n`` — the piecewise-linear CDF the P² invariants
-        maintain.
-        """
-        if self._pos is None:
-            return [(float(x), 1.0) for x in self._q]
-        q, p = self._q, self._pos
-        w = [
-            (p[1] - p[0]) / 2.0,
-            (p[2] - p[0]) / 2.0,
-            (p[3] - p[1]) / 2.0,
-            (p[4] - p[2]) / 2.0,
-            (p[4] - p[3]) / 2.0,
-        ]
-        scale = self.n / (p[4] - p[0])
-        return [(float(q[i]), w[i] * scale) for i in range(5)]
-
-    def _merged_med(self, other: "OnlineStats"):
-        """The merged (marker heights, marker positions) P² state."""
-        tot = self.n + other.n
-        if tot < 5:
-            # Both sides are still raw-sample lists; stay exact.
-            return self._q + other._q, None
-        if self._pos is not None and other._pos is None:
-            scratch = self.clone()
-            for x in other._q:
-                scratch._push_med(x)
-            return scratch._q, scratch._pos
-        if self._pos is None and other._pos is not None:
-            scratch = other.clone()
-            for x in self._q:
-                scratch._push_med(x)
-            return scratch._q, scratch._pos
-        if self._pos is None and other._pos is None:
-            # Two raw lists whose union crosses the threshold: build the
-            # markers from the exact combined sample set.
-            pts = sorted(self._q + other._q)
-            arr = np.asarray(pts, dtype=np.float64)
-            mids = np.quantile(arr, [0.25, 0.5, 0.75]).tolist()
-            q = [pts[0], mids[0], mids[1], mids[2], pts[-1]]
-        else:
-            pts = sorted(self._med_points() + other._med_points())
-            h = np.asarray([p[0] for p in pts])
-            w = np.asarray([p[1] for p in pts])
-            # Mid-rank positions of the weighted points; the merged
-            # markers read the piecewise-linear inverse CDF at the
-            # quartile ranks.
-            c = np.cumsum(w) - 0.5 * w
-            mids = np.interp(
-                [0.25 * tot, 0.5 * tot, 0.75 * tot], c, h
-            ).tolist()
-            lo = min(self._q[0], other._q[0])
-            hi = max(self._q[-1], other._q[-1])
-            q = [lo, mids[0], mids[1], mids[2], hi]
-        # Enforce the P² invariants: non-decreasing heights within the
-        # exact [min, max] envelope, strictly increasing positions.
-        for i in (1, 2, 3):
-            q[i] = min(max(q[i], q[i - 1]), q[4])
-        pos = [
-            1,
-            int(round((tot - 1) * 0.25)) + 1,
-            int(round((tot - 1) * 0.50)) + 1,
-            int(round((tot - 1) * 0.75)) + 1,
-            tot,
-        ]
-        for i in (1, 2, 3):
-            pos[i] = max(pos[i], pos[i - 1] + 1)
-        for i in (3, 2, 1):
-            pos[i] = min(pos[i], pos[i + 1] - 1)
-        return q, pos
 
     def to_state(self) -> dict:
         """The serializable ``tempest-summary-v2`` estimator state.
 
         Keys (drift-tested against ``docs/INTERNALS.md``): ``n``, ``min``,
-        ``max``, ``mean``, ``m2``, ``bin_values``, ``bin_counts``, ``q``,
-        ``pos``.  An empty estimator serializes as ``{"n": 0}`` so the
-        JSON stays finite-valued.  Floats survive a JSON round-trip
-        bit-exactly (``repr`` encoding), so a deserialized state merges
-        and reports identically to the original.
+        ``max``, ``mean``, ``m2``, ``bin_values``, ``bin_counts``.  An
+        empty estimator serializes as ``{"n": 0}`` so the JSON stays
+        finite-valued.  Floats survive a JSON round-trip bit-exactly
+        (``repr`` encoding), so a deserialized state merges and reports
+        identically to the original.
         """
         if self.n == 0:
             return {"n": 0}
@@ -439,29 +300,39 @@ class OnlineStats:
             "m2": self._m2,
             "bin_values": [v for v, _ in items],
             "bin_counts": [c for _, c in items],
-            "q": list(self._q),
-            "pos": None if self._pos is None else list(self._pos),
         }
 
     @classmethod
     def from_state(cls, state: dict) -> "OnlineStats":
-        """Rebuild an estimator from :meth:`to_state` output."""
+        """Rebuild an estimator from :meth:`to_state` output.
+
+        Raises ``ValueError`` when the bins cannot be the histogram of
+        ``n`` samples (the median is read from them).  The ``q``/``pos``
+        keys of older documents are ignored.
+        """
         out = cls()
         n = int(state.get("n", 0))
         if n == 0:
             return out
+        values, counts = state["bin_values"], state["bin_counts"]
+        if len(values) != len(counts):
+            raise ValueError(f"{len(values)} bin values but "
+                             f"{len(counts)} bin counts")
+        if not all(type(c) is int and c > 0 for c in counts):
+            raise ValueError("bin counts must be positive ints")
+        if sum(counts) != n:
+            raise ValueError(f"bin counts total {sum(counts)}, not n={n}")
         out.n = n
         out.min = float(state["min"])
         out.max = float(state["max"])
         out._mean = float(state["mean"])
         out._m2 = float(state["m2"])
-        out._bins = {
-            float(v): int(c)
-            for v, c in zip(state["bin_values"], state["bin_counts"])
-        }
-        out._q = [float(x) for x in state["q"]]
-        pos = state.get("pos")
-        out._pos = None if pos is None else [int(p) for p in pos]
+        bins = out._bins
+        # Add rather than assign: JSON decodes every NaN to one object,
+        # so separate NaN bins arrive as repeated keys.
+        for v, c in zip(values, counts):
+            v = float(v)
+            bins[v] = bins.get(v, 0) + c
         return out
 
 
@@ -1948,18 +1819,13 @@ class StreamingRunProfiler:
 
     def __init__(self, symtab: SymbolTable, *, sampling_hz: float = 4.0,
                  strict: bool = False, min_samples_for_stats: int = 1,
-                 meta: Optional[dict] = None, batch: bool = False,
-                 vectorized: bool = True,
+                 meta: Optional[dict] = None, vectorized: bool = True,
                  hcct_budget: Optional[int] = None):
         self.symtab = symtab
         self.sampling_hz = float(sampling_hz)
         self.strict = strict
         self.min_samples_for_stats = min_samples_for_stats
         self.meta = dict(meta or {})
-        #: ``batch=True`` buffers chunks and finalizes through the classic
-        #: vectorized pipeline — what a consumer wants when it collects
-        #: remote streams but needs bit-equality with the batch parser
-        self.batch = batch
         self.vectorized = vectorized
         #: per-node hot calling-context tree budget (None = no trees)
         self.hcct_budget = hcct_budget
@@ -1978,7 +1844,6 @@ class StreamingRunProfiler:
                 sampling_hz=self.sampling_hz,
                 strict=self.strict,
                 min_samples_for_stats=self.min_samples_for_stats,
-                batch=self.batch,
                 vectorized=self.vectorized,
                 hcct_budget=self.hcct_budget,
             )

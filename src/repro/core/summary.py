@@ -15,10 +15,9 @@ Closure guarantees (the property suite in
 
 * merging the summaries of any chunked split of a stream — cut at
   empty-stack, non-decreasing-time boundaries — equals the whole-stream
-  summary: counts, call counts, arcs, spans, ``min``/``max``/``mod``
-  exactly; Welford moments up to summation-order rounding (~1e-12
-  relative); the P² median within the documented ±0.5 °C tolerance for
-  quantized thermal readings;
+  summary: counts, call counts, arcs, spans, ``min``/``max``/``med``/
+  ``mod`` exactly; Welford moments up to summation-order rounding
+  (~1e-12 relative);
 * ``merge`` is associative and commutative to the same tolerances, and
   an empty summary is a two-sided identity;
 * serialization round-trips bit-exactly (floats encode via ``repr``),

@@ -298,8 +298,8 @@ class CampaignStore:
         :func:`repro.core.tsc.detect_regressions` then reports exactly
         the runs whose metric rose above the best (lowest) value seen
         earlier in the campaign.  ``min_delta`` suppresses sub-threshold
-        noise (default 0.5 — the documented P² median tolerance for
-        quantized thermal readings).
+        noise (default 0.5 — half the whole-degree step most thermal
+        sensors quantize to).
         """
         from repro.core.trace import REC_ENTER
         from repro.core.tsc import detect_regressions

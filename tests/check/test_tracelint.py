@@ -263,6 +263,18 @@ def test_compare_profiles_divergence_is_tl018(clean_bundle_dir):
     assert "n_calls" in diags[0].message
 
 
+def test_compare_profiles_nan_median_is_tl018(clean_bundle_dir):
+    a = parsed(clean_bundle_dir)
+    b = parsed(clean_bundle_dir)
+    for profile, med in ((a, float("nan")), (b, 40.0)):
+        f = profile.node("node1").function("kernel")
+        f.sensor_stats["S0"] = dataclasses.replace(f.sensor_stats["S0"],
+                                                   med=med)
+    diags = compare_profiles(a, b)
+    assert rules_of(diags) == ["TL018"]
+    assert "med nan vs 40.0" in diags[0].message
+
+
 # ----------------------------------------------------------------------
 # CheckReport plumbing
 

@@ -49,11 +49,7 @@ def test_online_stats_matches_exact(n):
     assert st.avg == pytest.approx(exact.avg, rel=1e-9)
     assert st.var == pytest.approx(exact.var, rel=1e-9, abs=1e-12)
     assert st.sdv == pytest.approx(exact.sdv, rel=1e-9, abs=1e-12)
-    # P2 median: exact below 5 samples, within the documented band beyond.
-    if n < 5:
-        assert st.med == exact.med
-    else:
-        assert st.med == pytest.approx(exact.med, abs=0.5)
+    assert st.med == exact.med
 
 
 def test_online_stats_empty():
@@ -111,14 +107,9 @@ def test_push_many_adversarial_distributions(name):
     assert st.avg == pytest.approx(exact.avg, rel=1e-12)
     assert st.var == pytest.approx(exact.var, rel=_MOMENT_REL[name],
                                    abs=1e-12)
+    assert st.med == exact.med
     if name == "constant":
         assert st.var == 0.0 and st.med == 51.25
-    elif name == "bimodal":
-        # P² assumes a unimodal-ish CDF; on two far modes its estimate
-        # lands between them.  The in-range guarantee is all there is.
-        assert st.min <= st.med <= st.max
-    else:
-        assert st.med == pytest.approx(exact.med, abs=0.5)
 
 
 @pytest.mark.parametrize("name", sorted(_adversarial_distributions()))
@@ -338,9 +329,9 @@ def assert_stream_matches_batch(stream_prof, batch_prof):
             assert ss.min == bs.min
             assert ss.max == bs.max
             assert ss.mod == bs.mod
+            assert ss.med == bs.med
             assert ss.avg == pytest.approx(bs.avg, rel=1e-9)
             assert ss.var == pytest.approx(bs.var, rel=1e-9, abs=1e-12)
-            assert ss.med == pytest.approx(bs.med, abs=0.5)
     assert stream_prof.timeline.arcs == batch_prof.timeline.arcs
 
 

@@ -6,9 +6,9 @@ The contract under test (documented in ``repro.core.summary`` and
 ``docs/INTERNALS.md``): ``merge`` is associative and commutative with
 an empty identity; merging the summaries of any chunked split of a
 stream equals the whole-stream summary — counts, calls, arcs, spans,
-``min``/``max``/``mod`` exactly, Welford moments up to summation-order
-rounding, the P² median within ±0.5 °C on quantized readings; and the
-serialized form merges identically to the in-process one.
+``min``/``max``/``med``/``mod`` exactly, Welford moments up to
+summation-order rounding; and the serialized form merges identically to
+the in-process one.
 """
 
 import json
@@ -49,31 +49,21 @@ def merged(*parts) -> OnlineStats:
     return out
 
 
-def assert_estimators_close(a, b, *, exact, med_abs=0.5):
+def assert_estimators_close(a, b, *, exact):
     """Same-multiset estimators: exact fields bit-equal, moments to
-    summation rounding, ``med`` within the documented band of *exact*
-    (the true batch statistics of the underlying samples).
-
-    The ±0.5 band applies once the P² markers have warmed up; tiny
-    merged sets that just crossed the five-sample threshold get only
-    the in-range guarantee (one post-rebuild update can move an
-    interpolated marker by a full quantization step)."""
+    summation rounding, ``med`` equal to the median of *exact* (the true
+    batch statistics of the underlying samples)."""
     assert (a.n, a.min, a.max, a.mod) == (b.n, b.min, b.max, b.mod)
     assert a.avg == pytest.approx(b.avg, rel=1e-9)
     assert a.var == pytest.approx(b.var, rel=1e-9, abs=1e-12)
     for st in (a, b):
-        if st.n < 5:
-            assert st.med == exact.med
-        elif st.n < 30:
-            assert st.min <= st.med <= st.max
-        else:
-            assert st.med == pytest.approx(exact.med, abs=med_abs)
+        assert st.med == exact.med
 
 
 def assert_node_profiles_close(a, b):
     """The split-closure contract at the profile layer: counts, arcs,
     span, and the exact estimator fields bit-equal; times to summation
-    rounding; ``med`` within the estimators' mutual ±0.5 band."""
+    rounding; ``med`` exact."""
     assert a.node_name == b.node_name
     assert a.duration_s == pytest.approx(b.duration_s, rel=1e-9)
     assert set(a.functions) == set(b.functions)
@@ -101,7 +91,7 @@ def _assert_sensor_stats_close(sa, sb):
     assert (sa.n, sa.min, sa.max, sa.mod) == (sb.n, sb.min, sb.max, sb.mod)
     assert sa.avg == pytest.approx(sb.avg, rel=1e-9)
     assert sa.var == pytest.approx(sb.var, rel=1e-9, abs=1e-12)
-    assert sa.med == pytest.approx(sb.med, abs=0.5)
+    assert sa.med == sb.med
 
 
 def empty_stack_cuts(arr, n_cuts, seed=0):
@@ -191,8 +181,53 @@ def test_raw_sample_merges_stay_exact_below_five():
     b = stats_of([40.5, 44.0])
     m = merged(a, b)
     exact = compute_sensor_stats(np.array([41.0, 43.5, 40.5, 44.0]))
-    assert m.med == exact.med          # still raw samples: exact median
-    assert m.to_state()["pos"] is None
+    assert m.med == exact.med
+
+
+def _same(a, b):
+    """Bit-identical floats, NaN equal to NaN."""
+    return np.float64(a).tobytes() == np.float64(b).tobytes() or (
+        np.isnan(a) and np.isnan(b))
+
+
+def _med_paths(values, cut):
+    """``med`` of *values* fed every way an estimator can be built:
+    element-wise, in bulk, as a two-way merge split at *cut*, and after
+    a JSON state round trip of the merge."""
+    one = OnlineStats()
+    for x in values:
+        one.push(x)
+    two = merged(stats_of(values[:cut]), stats_of(values[cut:]))
+    back = OnlineStats.from_state(json.loads(json.dumps(two.to_state())))
+    return [one.med, stats_of(values).med, two.med, back.med]
+
+
+def test_median_of_two_plateaus_is_exact():
+    values = np.array([32.0, 32.0, 38.0, 32.0, 38.0, 38.0])
+    assert _med_paths(values, 3) == [35.0] * 4
+
+
+@pytest.mark.parametrize("quantized", [True, False])
+def test_median_is_bit_identical_to_batch(quantized):
+    rng = np.random.default_rng(17)
+    for _ in range(200):
+        n = int(rng.integers(1, 120))
+        values = rng.normal(40.0, 5.0, size=n)
+        if quantized:
+            values = np.round(values * 2.0) / 2.0
+        exact = compute_sensor_stats(values).med
+        cut = int(rng.integers(0, n + 1))
+        for med in _med_paths(values, cut):
+            assert _same(med, exact), (values.tolist(), cut, med, exact)
+
+
+def test_median_with_nan_input_matches_batch():
+    values = np.array([41.0, np.nan, 40.0, 39.5, np.nan, 42.0, 40.0])
+    exact = compute_sensor_stats(values).med
+    assert np.isnan(exact)
+    for cut in range(len(values) + 1):
+        assert all(np.isnan(m) for m in _med_paths(values, cut))
+    assert stats_of(values[~np.isnan(values)]).med == 40.0
 
 
 @pytest.mark.parametrize("n_chunks", [2, 5, 16, 64])
@@ -221,6 +256,76 @@ def test_state_roundtrip_is_bit_exact():
         other = stats_of(quantized_samples(37, seed=99))
         assert merged(back, other).to_state() == \
             merged(st, other).to_state()
+
+
+def test_older_state_with_marker_keys_decodes_to_exact_median():
+    values = quantized_samples(40, seed=5)
+    state = stats_of(values).to_state()
+    # Older documents also carry the P² median markers; from_state
+    # ignores them and reads the median from the bins.
+    state["q"] = [44.0, 52.0, 54.5, 57.0, 63.5]
+    state["pos"] = [1, 10, 20, 30, 40]
+    back = OnlineStats.from_state(state)
+    assert back.med == compute_sensor_stats(values).med
+    assert set(back.to_state()) == {"n", "min", "max", "mean", "m2",
+                                    "bin_values", "bin_counts"}
+
+
+def _bad_bins(state, mutation):
+    state = dict(state)
+    if mutation == "length":
+        state["bin_counts"] = state["bin_counts"][:-1]
+    elif mutation == "zero-count":
+        state["bin_counts"] = [0] + state["bin_counts"][1:]
+    elif mutation == "float-count":
+        state["bin_counts"] = [float(c) for c in state["bin_counts"]]
+    elif mutation == "total":
+        state["n"] = state["n"] + 1
+    elif mutation == "no-bins":
+        state["bin_values"], state["bin_counts"] = [], []
+    return state
+
+
+_BAD_BINS = ["length", "zero-count", "float-count", "total", "no-bins"]
+
+
+def test_from_state_rejects_bins_that_are_not_n_samples():
+    state = {"n": 5, "min": 1.0, "max": 1.0, "mean": 1.0, "m2": 0.0,
+             "bin_values": [1.0], "bin_counts": [1]}
+    with pytest.raises(ValueError):
+        OnlineStats.from_state(state)
+
+
+@pytest.mark.parametrize("mutation", _BAD_BINS)
+def test_run_summary_rejects_bad_bins(mutation):
+    trace, symtab = synth_trace(n_quads=40, seed=61)
+    acc = make_acc(trace, symtab)
+    acc.consume(trace.columns.array)
+    doc = RunSummary(nodes={"node1": acc.summary(final=True)},
+                     sampling_hz=4.0, meta={}).to_dict()
+    node = doc["nodes"]["node1"]
+    fname = sorted(node["stats"])[0]
+    sensor = sorted(node["stats"][fname])[0]
+    node["stats"][fname][sensor] = _bad_bins(node["stats"][fname][sensor],
+                                             mutation)
+    with pytest.raises(TraceError):
+        RunSummary.from_dict(doc)
+
+
+@pytest.mark.parametrize("mutation", _BAD_BINS)
+def test_context_tree_rejects_bad_bins(mutation):
+    from repro.core.cct import ContextTree
+
+    trace, symtab = synth_trace(n_quads=40, seed=61)
+    acc = make_acc(trace, symtab, hcct_budget=16)
+    acc.consume(trace.columns.array)
+    acc.finalize()
+    doc = acc._tree.to_dict()
+    row = next(r for r in doc["nodes"] if r[6])
+    sensor = sorted(row[6])[0]
+    row[6][sensor] = _bad_bins(row[6][sensor], mutation)
+    with pytest.raises(TraceError):
+        ContextTree.from_dict(doc)
 
 
 def test_empty_state_is_minimal():
@@ -258,7 +363,7 @@ def test_sensor_stats_merge_moments_match_batch():
     assert m.var == pytest.approx(exact.var, rel=1e-9)
     assert m.sdv == pytest.approx(exact.sdv, rel=1e-9)
     # med/mod are documented best-effort on finished statistics; the
-    # same-population split stays inside the streaming contract.
+    # same-population split stays within half a degree.
     assert m.med == pytest.approx(exact.med, abs=0.5)
     assert m.min <= m.mod <= m.max
 
@@ -471,7 +576,7 @@ def test_split_tree_summaries_merge_to_whole():
     ref = whole.summary(final=True)
     assert folded.context_tree is not None
     assert_trees_match(folded.context_tree, ref.context_tree,
-                       med_abs=0.5, ctx="split-merge")
+                       ctx="split-merge")
     assert_node_profiles_close(
         folded.to_node_profile(sampling_hz=4.0),
         ref.to_node_profile(sampling_hz=4.0),
