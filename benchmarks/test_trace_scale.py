@@ -271,12 +271,12 @@ def test_trace_scale(benchmark, results_dir):
 BENCH_STREAMING_JSON = REPO_ROOT / "BENCH_streaming.json"
 
 
-def _make_accumulator(symtab, batch, vectorized=True):
+def _make_accumulator(symtab, vectorized=True):
     from repro.core.streamprof import ProfileAccumulator
 
     return ProfileAccumulator(
         "bench", symtab, _seconds, ["S0", "S1"],
-        sampling_hz=4.0, strict=False, batch=batch, vectorized=vectorized,
+        sampling_hz=4.0, strict=False, vectorized=vectorized,
     )
 
 
@@ -319,6 +319,7 @@ def run_streaming_benchmark(n_records: int = N_RECORDS) -> dict:
     """
     import tracemalloc
 
+    from repro.core.parser import profile_records
     from repro.core.spool import (
         STREAM_CHUNK_RECORDS,
         TraceSpool,
@@ -334,16 +335,17 @@ def run_streaming_benchmark(n_records: int = N_RECORDS) -> dict:
     del arr
 
     def stream_once(vectorized):
-        acc = _make_accumulator(symtab, batch=False, vectorized=vectorized)
+        acc = _make_accumulator(symtab, vectorized=vectorized)
         for chunk in iter_spool_chunks(spool_path,
                                        chunk_records=STREAM_CHUNK_RECORDS):
             acc.consume(chunk)
         return acc.finalize()
 
     def batch_once():
-        acc = _make_accumulator(symtab, batch=True)
-        acc.consume(read_spool_columns(spool_path))
-        return acc.finalize()
+        return profile_records(
+            read_spool_columns(spool_path), "bench", symtab, _seconds,
+            ["S0", "S1"], sampling_hz=4.0, strict=False,
+        )
 
     try:
         # -- timing phase: no tracemalloc, GC quiesced between runs

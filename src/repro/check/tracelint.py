@@ -516,7 +516,7 @@ def check_bundle_dir(path, *, deep: bool = True) -> list[Diagnostic]:
 def _deep_check_bundle(path: Path, label: str) -> list[Diagnostic]:
     """Parse the (structurally clean) bundle both ways and cross-check."""
     from repro.core.parser import TempestParser
-    from repro.core.streamprof import StreamingRunProfiler
+    from repro.core.streamprof import stream_bundle_profile
     from repro.core.trace import TraceBundle
 
     try:
@@ -525,16 +525,8 @@ def _deep_check_bundle(path: Path, label: str) -> list[Diagnostic]:
     except TraceError as exc:
         return [_diag("TL001", f"bundle does not parse: {exc}", path=label)]
     diags = check_profile(batch, path=label)
-    profiler = StreamingRunProfiler(
-        bundle.symtab,
-        sampling_hz=float(bundle.meta.get("sampling_hz", 4.0)),
-        strict=False,
-        meta=bundle.meta,
-    )
-    for name, trace in bundle.nodes.items():
-        acc = profiler.add_node(name, trace.tsc_hz, trace.sensor_names)
-        acc.consume(trace.columns.array)
-    diags.extend(compare_profiles(batch, profiler.finalize(), path=label))
+    stream = stream_bundle_profile(bundle, strict=False)
+    diags.extend(compare_profiles(batch, stream, path=label))
     return diags
 
 

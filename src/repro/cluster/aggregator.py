@@ -327,8 +327,7 @@ class Aggregator:
             summary = RunSummary.from_dict(obj["summary"])
         except WireError:
             raise
-        except (KeyError, TypeError, ValueError, AttributeError,
-                TraceError) as exc:
+        except (KeyError, TypeError, ValueError, TraceError) as exc:
             raise WireError(f"{leaf_name}: malformed SUMMARY: {exc}")
         with self._lock:
             leaf = self.leaves[leaf_name]

@@ -603,6 +603,9 @@ class ContextTree:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ContextTree":
+        if not isinstance(obj, dict):
+            raise TraceError(f"hcct document is {type(obj).__name__}, "
+                             "not an object")
         try:
             out = cls([str(s) for s in obj.get("sensor_names", [])],
                       budget=obj.get("budget"))
@@ -617,6 +620,9 @@ class ContextTree:
                 out._excl[cid] = float(excl)
                 out._calls[cid] = int(calls)
                 out._error[cid] = float(error)
+                if not isinstance(per, dict):
+                    raise TypeError(f"sensor block of {name!r} is "
+                                    f"{type(per).__name__}, not dict")
                 for sname, state in per.items():
                     sidx = out.sensor_index(str(sname))
                     out.stats[(cid, sidx)] = OnlineStats.from_state(state)

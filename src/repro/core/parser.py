@@ -17,27 +17,150 @@ relative to the sampling interval for the thermal sensors, thermal
 statistical data is not considered significant for this function") — their
 timing is still reported, but sensor statistics are suppressed.
 
-Since the streaming-engine refactor this module is a thin driver: the
-actual timeline build, sample attribution and statistics live in
-:class:`repro.core.streamprof.ProfileAccumulator`, which the parser runs
-in *batch* mode — the whole node trace is handed over as one big chunk,
-and the accumulator's batch finalizer reproduces the classic vectorized
-pipeline bit-for-bit.  Use :class:`~repro.core.streamprof.StreamingRunProfiler`
-/ :func:`~repro.core.streamprof.stream_spool_profile` when the trace should
-never be fully resident.
+This is the post-mortem pipeline the paper describes: the whole node
+trace is resident, the timeline is rebuilt in one pass
+(:func:`~repro.core.timeline.build_timeline`), samples are attributed by
+closed-interval containment in each function's union spans, and the
+statistics are the exact :func:`~repro.core.stats.compute_sensor_stats`.
+It shares no attribution code with the streaming engine
+(:mod:`repro.core.streamprof`), which is what makes it the independent
+reference that TL018 (``tempest check``) compares streaming against.  Use
+:class:`~repro.core.streamprof.StreamingRunProfiler` /
+:func:`~repro.core.streamprof.stream_spool_profile` when the trace should
+never be fully resident, or when a hot calling-context tree is wanted.
 """
 
 from __future__ import annotations
 
-from repro.core.profilemodel import NodeProfile, RunProfile
-from repro.core.streamprof import (  # noqa: F401  (back-compat re-exports)
-    ProfileAccumulator,
-    _MIN_EXPECTED_SWEEPS,
-    _coverage,
-    _samples_in_spans,
+from typing import Callable
+
+import numpy as np
+
+from repro.core.profilemodel import FunctionProfile, NodeProfile, RunProfile
+from repro.core.stats import SensorStats, compute_sensor_stats
+from repro.core.streamprof import _coverage
+from repro.core.symtab import SymbolTable
+from repro.core.timeline import build_timeline, tsc_seconds
+from repro.core.trace import (
+    REC_ENTER,
+    REC_EXIT,
+    REC_TEMP,
+    NodeTrace,
+    TraceBundle,
 )
-from repro.core.trace import NodeTrace, TraceBundle
 from repro.util.errors import TraceError
+
+
+def _samples_in_spans(
+    times: np.ndarray, values: np.ndarray, spans: list[tuple[float, float]]
+) -> np.ndarray:
+    """Values whose timestamps fall inside any of the (disjoint, sorted)
+    spans — vectorized with searchsorted."""
+    if len(times) == 0 or not spans:
+        return np.empty(0)
+    starts = np.array([s for s, _ in spans])
+    ends = np.array([e for _, e in spans])
+    # For each time, the candidate span is the last with start <= t.
+    idx = np.searchsorted(starts, times, side="right") - 1
+    ok = idx >= 0
+    hit = np.zeros(len(times), dtype=bool)
+    valid = np.where(ok)[0]
+    hit[valid] = times[valid] <= ends[idx[valid]]
+    return values[hit]
+
+
+def _series_from(
+    temp: np.ndarray, node_name: str, seconds_fn: Callable,
+    sensor_names: list[str],
+) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """Per-sensor (times, values) arrays, built as pure column ops."""
+    out: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+    if len(temp):
+        sensor_idx = temp["addr"]
+        times_all = tsc_seconds(seconds_fn, temp["tsc"])
+        values_all = temp["value"].astype(np.float64)
+        for idx in np.unique(sensor_idx):
+            idx = int(idx)
+            if idx >= len(sensor_names) or idx < 0:
+                raise TraceError(
+                    f"{node_name}: TEMP record for sensor index "
+                    f"{idx} but only {len(sensor_names)} sensors "
+                    "declared"
+                )
+            mask = sensor_idx == idx
+            out[sensor_names[idx]] = (times_all[mask], values_all[mask])
+    # Sensors that never produced a sample still appear, empty.
+    for name in sensor_names:
+        if name not in out:
+            out[name] = (np.empty(0), np.empty(0))
+    return out
+
+
+def profile_records(
+    arr: np.ndarray,
+    node_name: str,
+    symtab: SymbolTable,
+    seconds_fn: Callable,
+    sensor_names: list[str],
+    *,
+    sampling_hz: float = 4.0,
+    strict: bool = True,
+    min_samples_for_stats: int = 1,
+) -> NodeProfile:
+    """Profile one node's whole record array: timeline + sample
+    attribution + exact statistics.
+
+    ``seconds_fn(tsc)`` is the node's TSC calibration.  In strict mode an
+    unbalanced ENTER/EXIT stream raises :class:`TraceError`; lenient mode
+    repairs it the way :func:`~repro.core.timeline.build_timeline` does.
+    """
+    kind = arr["kind"]
+    func = arr[(kind == REC_ENTER) | (kind == REC_EXIT)]
+    timeline = build_timeline(func, symtab, seconds_fn, strict=strict)
+    series = _series_from(arr[kind == REC_TEMP], node_name, seconds_fn,
+                          list(sensor_names))
+    interval_s = 1.0 / sampling_hz
+    min_needed = max(1, min_samples_for_stats)
+
+    functions: dict[str, FunctionProfile] = {}
+    for name in timeline.function_names():
+        total = timeline.inclusive_time(name)
+        significant = total >= interval_s
+        stats: dict[str, SensorStats] = {}
+        n_hits = 0
+        if significant:
+            spans = timeline.union_spans(name)
+            for sensor, (times, values) in series.items():
+                hit = _samples_in_spans(times, values, spans)
+                if len(hit) >= min_needed:
+                    stats[sensor] = compute_sensor_stats(hit)
+                    n_hits = max(n_hits, len(hit))
+                elif min_samples_for_stats == 0:
+                    stats[sensor] = SensorStats.empty()
+            if not any(s.n for s in stats.values()):
+                # Long function but no samples landed (e.g. tempd died
+                # early): degrade to insignificant rather than invent data.
+                significant = False
+                stats = {}
+        functions[name] = FunctionProfile(
+            name=name,
+            total_time_s=total,
+            exclusive_time_s=timeline.exclusive_time(name),
+            n_calls=timeline.call_count(name),
+            significant=significant,
+            sensor_stats=stats,
+            n_samples=n_hits,
+            coverage=_coverage(total, n_hits, sampling_hz),
+        )
+
+    t0, t1 = timeline.span
+    return NodeProfile(
+        node_name=node_name,
+        duration_s=t1 - t0,
+        functions=functions,
+        sensor_series=series,
+        timeline=timeline,
+    )
 
 
 class TempestParser:
@@ -63,15 +186,12 @@ class TempestParser:
         )
 
     def parse_node(self, trace: NodeTrace) -> NodeProfile:
-        """Parse one node: timeline + sample attribution + statistics.
+        """Parse one node with :func:`profile_records`.
 
-        Batch mode is streaming over one big chunk: the node's columns go
-        into a batch-mode :class:`ProfileAccumulator` whose finalizer runs
-        the vectorized timeline build and span-based sample attribution —
-        output pinned equal to the historical in-line implementation.
+        Strict mode first scans for the §3.3 timestamp-regression hazard,
+        so the error names the offending records.
         """
         if self.strict:
-            # Pre-scan for the §3.3 hazard so the error names the offender.
             from repro.core.tsc import detect_regressions
 
             reports = detect_regressions(trace.func_columns())
@@ -82,7 +202,8 @@ class TempestParser:
                     + (f" (+{len(reports) - 3} more)" if len(reports) > 3
                        else "")
                 )
-        acc = ProfileAccumulator(
+        return profile_records(
+            trace.columns.array,
             trace.node_name,
             self.bundle.symtab,
             trace.seconds,
@@ -90,7 +211,4 @@ class TempestParser:
             sampling_hz=self.sampling_hz,
             strict=self.strict,
             min_samples_for_stats=self.min_samples_for_stats,
-            batch=True,
         )
-        acc.consume(trace.columns.array)
-        return acc.finalize()

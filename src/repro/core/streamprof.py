@@ -1,68 +1,60 @@
 """Streaming profile engine: single-pass, constant-memory profiling.
 
 The paper's parser is post-mortem: collect the full trace plus the tempd
-sample log, then merge them offline.  The batch pipeline mirrored that,
-holding O(records) state through ``TraceBundle`` → ``TempestParser`` →
-``RunProfile``.  This module inverts the dataflow: a
-:class:`ProfileAccumulator` consumes columnar record chunks (the
-``RecordColumns`` chunks that ``TraceSpool`` writes and
+sample log, then merge them offline.  The batch parser
+(:mod:`repro.core.parser`) mirrors that, holding O(records) state through
+``TraceBundle`` → ``TempestParser`` → ``RunProfile``.  This module inverts
+the dataflow: a :class:`ProfileAccumulator` consumes columnar record
+chunks (the ``RecordColumns`` chunks that ``TraceSpool`` writes and
 :func:`repro.core.spool.iter_spool_chunks` reads back) *incrementally*,
 maintaining per-function/per-sensor online statistics and an incremental
 frame stack, so a profile snapshot is available at any point mid-run and
 peak memory is bounded by O(functions × sensors), not trace length.
 
-Two modes share one interface:
+Every chunk is folded into constant-size state the moment it arrives:
 
-* **streaming** (``batch=False``, the default) — every chunk is folded
-  into constant-size state the moment it arrives:
+- Welford mean/variance (bulk Chan merges for whole chunks), running
+  min/max and an exact quantized-bin counter that yields ``Mod`` and the
+  exact ``Med`` per (function, sensor) pair (:class:`OnlineStats`);
+- an incremental replay of the ENTER/EXIT stream (the exact semantics of
+  the timeline replay builder, including lenient repair: mismatched EXITs
+  unwind, timestamp regressions clamp, open frames close at the last
+  event time);
+- inclusive time as an *online union*: a global per-function activation
+  counter opens a union span on the 0→1 transition and closes it on 1→0,
+  with a one-span ``pending`` buffer so touching spans merge exactly like
+  the batch span merge;
+- sample attribution at arrival time: a TEMP record is credited to every
+  function currently on some stack, to functions whose union span closed
+  at exactly the sample's timestamp, and (retroactively, via a one-sweep
+  cache) to functions entered at exactly the sample's timestamp —
+  reproducing the batch parser's closed-interval ``start <= t <= end``
+  attribution on time-ordered streams.
 
-  - Welford mean/variance (bulk Chan merges for whole chunks), running
-    min/max and an exact quantized-bin counter that yields ``Mod`` and
-    the exact ``Med`` per (function, sensor) pair (:class:`OnlineStats`);
-  - an incremental replay of the ENTER/EXIT stream (the exact semantics
-    of the timeline replay builder, including lenient repair: mismatched
-    EXITs unwind, timestamp regressions clamp, open frames close at the
-    last event time);
-  - inclusive time as an *online union*: a global per-function
-    activation counter opens a union span on the 0→1 transition and
-    closes it on 1→0, with a one-span ``pending`` buffer so touching
-    spans merge exactly like the batch span merge;
-  - sample attribution at arrival time: a TEMP record is credited to
-    every function currently on some stack, to functions whose union
-    span closed at exactly the sample's timestamp, and (retroactively,
-    via a one-sweep cache) to functions entered at exactly the sample's
-    timestamp — reproducing the batch parser's closed-interval
-    ``start <= t <= end`` attribution on time-ordered streams.
-
-  Well-formed chunks take a **vectorized fast path** (chunked numpy
-  segment reduction — see :meth:`ProfileAccumulator.consume`); any chunk
-  it cannot prove well-formed replays record-at-a-time through the
-  scalar engine above, so lenient repair and strict errors are exactly
-  the historical ones.  :data:`FALLBACK_REASONS` enumerates the
-  conditions (documented in ``docs/INTERNALS.md``).
-
-* **batch** (``batch=True``) — chunks are buffered and ``finalize()``
-  runs the classic vectorized pipeline (timeline build + union-span
-  sample attribution + exact :func:`~repro.core.stats.compute_sensor_stats`)
-  over the concatenation.  This is what :class:`~repro.core.parser.TempestParser`
-  drives, and its output is bit-identical to the historical batch parser.
+Well-formed chunks take a **vectorized fast path** (chunked numpy segment
+reduction — see :meth:`ProfileAccumulator.consume`); any chunk it cannot
+prove well-formed replays record-at-a-time through the scalar engine
+above, so lenient repair and strict errors are exactly the historical
+ones.  :data:`FALLBACK_REASONS` enumerates the conditions (documented in
+``docs/INTERNALS.md``).
 
 Equivalence contract (pinned by ``tests/core/test_streamprof.py``,
 ``tests/core/test_streamprof_differential.py`` and the
 ``benchmarks/test_trace_scale.py`` streaming gates): on a record stream
-whose converted timestamps are globally non-decreasing, the streaming
-mode is chunking-invariant for every exact field — inclusive/exclusive
-times, call counts, arcs, span, ``n``/``min``/``max``/``mod``/``med``
-are bit-identical for chunk sizes 1, 7, 4096 and whole-run, and match
-the batch mode exactly (``med`` is read from the exact bins).
+whose converted timestamps are globally non-decreasing, the engine is
+chunking-invariant for every exact field — inclusive/exclusive times,
+call counts, arcs, span, ``n``/``min``/``max``/``mod``/``med`` are
+bit-identical for chunk sizes 1, 7, 4096 and whole-run, and match the
+batch parser exactly (``med`` is read from the exact bins).
 ``avg``/``var``/``sdv`` are chunk-size-dependent only in their rounding:
-the fast path folds each chunk's samples with one Chan/Welford merge,
-so moments agree with the scalar engine and with batch within relative
+the fast path folds each chunk's samples with one Chan/Welford merge, so
+moments agree with the scalar engine and with batch within relative
 ~1e-12 (the suite asserts 1e-9; see
 :meth:`~repro.core.stats.SensorStats.from_accumulator`).  Streams that
 are only per-process time-ordered (cross-core TSC skew) may attribute
 boundary samples differently; the divergence window is bounded by the
-skew magnitude.
+skew magnitude.  ``tempest check`` (TL018) compares the two engines on
+every bundle it deep-checks.
 
 One structural caveat: the online union keeps O(functions) state — an
 open span plus an activation count per function — so it cannot hold a
@@ -81,15 +73,12 @@ import math
 from pathlib import Path
 from typing import Callable, Iterable, Optional
 
-import logging
-
 import numpy as np
 
-from repro.core.profilemodel import FunctionProfile, NodeProfile, RunProfile
-from repro.core.records import RECORD_DTYPE, empty_records
-from repro.core.stats import SensorStats, compute_sensor_stats
+from repro.core.profilemodel import NodeProfile, RunProfile
+from repro.core.records import RECORD_DTYPE
 from repro.core.symtab import SymbolTable
-from repro.core.timeline import Timeline, build_timeline, frame_depths
+from repro.core.timeline import frame_depths, tsc_seconds
 from repro.core.trace import REC_ENTER, REC_EXIT, REC_TEMP
 from repro.util.errors import TraceError
 
@@ -101,9 +90,6 @@ __all__ = [
     "stream_bundle_profile",
     "stream_spool_profile",
 ]
-
-_log = logging.getLogger(__name__)
-
 
 # ----------------------------------------------------------------------
 # Online per-sensor statistics
@@ -306,10 +292,14 @@ class OnlineStats:
     def from_state(cls, state: dict) -> "OnlineStats":
         """Rebuild an estimator from :meth:`to_state` output.
 
-        Raises ``ValueError`` when the bins cannot be the histogram of
-        ``n`` samples (the median is read from them).  The ``q``/``pos``
-        keys of older documents are ignored.
+        Raises ``TypeError`` when *state* is not a dict and ``ValueError``
+        when the bins cannot be the histogram of ``n`` samples (the
+        median is read from them).  The ``q``/``pos`` keys of older
+        documents are ignored.
         """
+        if not isinstance(state, dict):
+            raise TypeError(f"estimator state is {type(state).__name__}, "
+                            "not dict")
         out = cls()
         n = int(state.get("n", 0))
         if n == 0:
@@ -337,7 +327,7 @@ class OnlineStats:
 
 
 # ----------------------------------------------------------------------
-# Attribution helpers (shared by the batch finalizer and the parser)
+# Coverage (shared with the batch parser and the summary algebra)
 
 #: below this many expected sweeps, a shortfall is indistinguishable from
 #: sampling-phase quantization, so no gap is reported
@@ -359,24 +349,6 @@ def _coverage(total_time_s: float, n_hits: int, sampling_hz: float) -> float:
     if expected < _MIN_EXPECTED_SWEEPS:
         return 1.0
     return min(1.0, n_hits / expected)
-
-
-def _samples_in_spans(
-    times: np.ndarray, values: np.ndarray, spans: list[tuple[float, float]]
-) -> np.ndarray:
-    """Values whose timestamps fall inside any of the (disjoint, sorted)
-    spans — vectorized with searchsorted."""
-    if len(times) == 0 or not spans:
-        return np.empty(0)
-    starts = np.array([s for s, _ in spans])
-    ends = np.array([e for _, e in spans])
-    # For each time, the candidate span is the last with start <= t.
-    idx = np.searchsorted(starts, times, side="right") - 1
-    ok = idx >= 0
-    hit = np.zeros(len(times), dtype=bool)
-    valid = np.where(ok)[0]
-    hit[valid] = times[valid] <= ends[idx[valid]]
-    return values[hit]
 
 
 # ----------------------------------------------------------------------
@@ -427,8 +399,8 @@ class ProfileAccumulator:
     open frames raise; lenient: they close at the process's last event
     time) and returns the final profile.
 
-    In streaming mode the state is O(functions × sensors) regardless of
-    how many records flow through.  Each chunk takes one of two engines:
+    The state is O(functions × sensors) regardless of how many records
+    flow through.  Each chunk takes one of two engines:
 
     * the **vectorized segment reduction** (default) — ENTER/EXIT frames
       are matched per chunk with the same matched-frame trick the
@@ -447,11 +419,6 @@ class ProfileAccumulator:
       errors are bit-faithful to the historical behaviour.  Carry-over
       stacks, pending union spans and the retro-attribution cache thread
       through both engines, so the two interleave freely chunk-by-chunk.
-
-    In batch mode (``batch=True``) chunks are buffered and ``finalize``
-    runs the classic vectorized pipeline — the mode
-    :class:`~repro.core.parser.TempestParser` drives, bit-equal to the
-    historical batch parser.
     """
 
     def __init__(
@@ -464,7 +431,6 @@ class ProfileAccumulator:
         sampling_hz: float = 4.0,
         strict: bool = False,
         min_samples_for_stats: int = 1,
-        batch: bool = False,
         vectorized: bool = True,
         hcct_budget: Optional[int] = None,
     ):
@@ -475,18 +441,12 @@ class ProfileAccumulator:
         self.sampling_hz = float(sampling_hz)
         self.strict = strict
         self.min_samples_for_stats = int(min_samples_for_stats)
-        self.batch = batch
         #: keep a hot calling-context tree alongside the flat profile:
         #: ``None`` disables it (the default — the flat engine pays
         #: nothing), a positive budget bounds tracked contexts by
         #: space-saving eviction, ``0`` keeps the exact unbounded CCT
-        #: (testing/benchmark reference).  Streaming mode only.
+        #: (testing/benchmark reference)
         self.hcct_budget = hcct_budget
-        if hcct_budget is not None and batch:
-            raise TraceError(
-                f"{node_name}: hcct_budget requires streaming mode, "
-                "not batch"
-            )
         #: route well-formed chunks through the numpy segment reduction;
         #: ``False`` forces the scalar replay for every chunk (the
         #: reference engine, used by the differential suite and the
@@ -497,9 +457,6 @@ class ProfileAccumulator:
         self.fallbacks: dict[str, int] = {}
         self.n_records = 0
         self._finalized = False
-        if batch:
-            self._chunks: list[np.ndarray] = []
-            return
         # -- function registry: aggregates are keyed by dense integer
         #    fids so the hot path can reduce into flat arrays
         self._addr_fid: dict[int, int] = {}
@@ -606,9 +563,6 @@ class ProfileAccumulator:
         if not len(arr):
             return
         self.n_records += len(arr)
-        if self.batch:
-            self._chunks.append(arr)
-            return
         self._consume_stream(arr)
         if self._tree is not None:
             # Chunk-boundary space-saving prune: contexts still open on
@@ -620,12 +574,6 @@ class ProfileAccumulator:
                 cid for st in self._ctx_stacks.values() for cid in st
             })
 
-    def consume_records(self, records: Iterable) -> None:
-        """Fold an iterable of :class:`TraceRecord`-shaped objects."""
-        from repro.core.records import RecordColumns
-
-        self.consume(RecordColumns.from_records(records).array)
-
     def consume_samples(self, t: float,
                         samples: Iterable[tuple[int, float]]) -> None:
         """Fold one tempd sweep — ``(sensor_index, degC)`` pairs taken at
@@ -633,29 +581,10 @@ class ProfileAccumulator:
 
         The direct hookup for live monitors sitting next to the daemon;
         equivalent to consuming the sweep's TEMP records at stream
-        position *t*.  Streaming mode only (batch mode buffers raw record
-        chunks and has no record to buffer here).
+        position *t*.
         """
-        if self.batch:
-            raise TraceError(
-                f"{self.node_name}: consume_samples requires streaming mode"
-            )
         for sidx, value in samples:
             self._on_sample(int(sidx), float(t), float(value))
-
-    def _times_of(self, tsc: np.ndarray) -> np.ndarray:
-        """Vectorized TSC→seconds, matching the batch conversion exactly."""
-        try:
-            times = np.asarray(self.seconds_fn(tsc), dtype=np.float64)
-            if times.shape != tsc.shape:
-                raise TypeError("seconds_fn is not elementwise")
-        except (TypeError, ValueError, AttributeError) as exc:
-            # seconds_fn is not vectorizable; convert record-by-record.
-            _log.debug("%s: seconds_fn %r is not elementwise (%s)",
-                       self.node_name, self.seconds_fn, exc)
-            times = np.array([self.seconds_fn(int(v)) for v in tsc],
-                             dtype=np.float64)
-        return times
 
     def _consume_stream(self, arr: np.ndarray) -> None:
         if self.vectorized:
@@ -671,7 +600,7 @@ class ProfileAccumulator:
     def _consume_stream_scalar(self, arr: np.ndarray) -> None:
         kinds = arr["kind"].tolist()
         addrs = arr["addr"].tolist()
-        times = self._times_of(arr["tsc"]).tolist()
+        times = tsc_seconds(self.seconds_fn, arr["tsc"]).tolist()
         pids = arr["pid"].tolist()
         values = arr["value"].tolist()
         addr_fid = self._addr_fid
@@ -918,7 +847,7 @@ class ProfileAccumulator:
         rel = f_mask | s_mask
         if not rel.any():
             return None
-        times = self._times_of(arr["tsc"])
+        times = tsc_seconds(self.seconds_fn, arr["tsc"])
         rt = times[rel]
         if len(rt) > 1 and np.any(rt[1:] < rt[:-1]):
             return _FB_NON_MONOTONE
@@ -1514,11 +1443,10 @@ class ProfileAccumulator:
         provisionally up to the latest event seen; the accumulation
         continues unaffected afterwards.
         """
-        if self.batch:
-            return self._finalize_batch(strict=False)
         totals, exclusive, span_hi = self._provisional_state()
-        return self._build_profile(totals, exclusive, span_hi,
-                                   tree=self._provisional_tree())
+        return self._render(self._build_summary(
+            totals, exclusive, span_hi, copy_stats=False,
+            tree=self._provisional_tree()))
 
     def _provisional_state(self):
         """(totals, exclusive, span_hi) with open frames credited to now.
@@ -1535,10 +1463,7 @@ class ProfileAccumulator:
             if now > start:
                 totals[fid] = totals.get(fid, 0.0) + (now - start)
             span_hi = max(span_hi, now)
-        exclusive = {
-            fid: float(self._excl[fid])
-            for fid in np.nonzero(self._excl)[0].tolist()
-        }
+        exclusive = self._exclusive()
         for pid, (fid, since) in self._top_since.items():
             if now > since:
                 exclusive[fid] = exclusive.get(fid, 0.0) + (now - since)
@@ -1571,20 +1496,7 @@ class ProfileAccumulator:
         time, exactly like the replay builder's end-of-trace handling.
         The accumulator rejects further ``consume`` calls afterwards.
         """
-        if self.batch:
-            profile = self._finalize_batch(strict=self.strict)
-            self._finalized = True
-            return profile
-        if not self._finalized:
-            self._close_open_frames()
-            self._finalized = True
-        totals = self._totals_with_pending()
-        exclusive = {
-            fid: float(self._excl[fid])
-            for fid in np.nonzero(self._excl)[0].tolist()
-        }
-        return self._build_profile(totals, exclusive, self._span_hi,
-                                   tree=self._tree)
+        return self._render(self.summary(final=True))
 
     def _close_open_frames(self) -> None:
         # Close processes in ascending end-time order: the online union
@@ -1631,22 +1543,13 @@ class ProfileAccumulator:
         exact: :meth:`NodeSummary.to_node_profile` on it reproduces
         :meth:`finalize`'s profile identically.
         """
-        if self.batch:
-            raise TraceError(
-                f"{self.node_name}: summaries require streaming mode, "
-                "not batch"
-            )
         if final:
             if not self._finalized:
                 self._close_open_frames()
                 self._finalized = True
-            totals = self._totals_with_pending()
-            exclusive = {
-                fid: float(self._excl[fid])
-                for fid in np.nonzero(self._excl)[0].tolist()
-            }
-            return self._build_summary(totals, exclusive, self._span_hi,
-                                       copy_stats=False, tree=self._tree)
+            return self._build_summary(
+                self._totals_with_pending(), self._exclusive(),
+                self._span_hi, copy_stats=False, tree=self._tree)
         totals, exclusive, span_hi = self._provisional_state()
         return self._build_summary(totals, exclusive, span_hi,
                                    copy_stats=True,
@@ -1662,15 +1565,17 @@ class ProfileAccumulator:
                 self._pend_end[fid] - self._pend_start[fid])
         return totals
 
-    def _build_profile(self, totals: dict[int, float],
-                       exclusive: dict[int, float],
-                       span_hi: float, tree=None) -> NodeProfile:
+    def _exclusive(self) -> dict[int, float]:
+        return {
+            fid: float(self._excl[fid])
+            for fid in np.nonzero(self._excl)[0].tolist()
+        }
+
+    def _render(self, node) -> NodeProfile:
         # Profile construction is the summary algebra's: build the
         # mergeable NodeSummary, then render it.  One code path means the
         # fan-in tier's "profile from merged summaries" and the local
         # "profile from accumulator" cannot drift apart.
-        node = self._build_summary(totals, exclusive, span_hi,
-                                   copy_stats=False, tree=tree)
         return node.to_node_profile(
             sampling_hz=self.sampling_hz,
             min_samples_for_stats=self.min_samples_for_stats,
@@ -1720,91 +1625,6 @@ class ProfileAccumulator:
             context_tree=tree,
         )
 
-    # ------------------------------------------------------------------
-    # Batch mode: the classic vectorized pipeline over buffered chunks
-
-    def _finalize_batch(self, *, strict: bool) -> NodeProfile:
-        if self._chunks:
-            arr = (self._chunks[0] if len(self._chunks) == 1
-                   else np.concatenate(self._chunks))
-        else:
-            arr = empty_records()
-        kind = arr["kind"]
-        func = arr[(kind == REC_ENTER) | (kind == REC_EXIT)]
-        timeline = build_timeline(func, self.symtab, self.seconds_fn,
-                                  strict=strict)
-        series = self._series_from(arr[kind == REC_TEMP])
-        interval_s = 1.0 / self.sampling_hz
-        min_needed = max(1, self.min_samples_for_stats)
-
-        functions: dict[str, FunctionProfile] = {}
-        for name in timeline.function_names():
-            total = timeline.inclusive_time(name)
-            significant = total >= interval_s
-            stats: dict[str, SensorStats] = {}
-            n_hits = 0
-            if significant:
-                spans = timeline.union_spans(name)
-                for sensor, (times, values) in series.items():
-                    hit = _samples_in_spans(times, values, spans)
-                    if len(hit) >= min_needed:
-                        stats[sensor] = compute_sensor_stats(hit)
-                        n_hits = max(n_hits, len(hit))
-                    elif self.min_samples_for_stats == 0:
-                        stats[sensor] = SensorStats.empty()
-                if not any(s.n for s in stats.values()):
-                    # Long function but no samples landed (e.g. tempd died
-                    # early): degrade to insignificant rather than invent
-                    # data.
-                    significant = False
-                    stats = {}
-            functions[name] = FunctionProfile(
-                name=name,
-                total_time_s=total,
-                exclusive_time_s=timeline.exclusive_time(name),
-                n_calls=timeline.call_count(name),
-                significant=significant,
-                sensor_stats=stats,
-                n_samples=n_hits,
-                coverage=_coverage(total, n_hits, self.sampling_hz),
-            )
-
-        t0, t1 = timeline.span
-        return NodeProfile(
-            node_name=self.node_name,
-            duration_s=t1 - t0,
-            functions=functions,
-            sensor_series=series,
-            timeline=timeline,
-        )
-
-    def _series_from(
-        self, temp: np.ndarray
-    ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-        """Per-sensor (times, values) arrays, built as pure column ops."""
-        out: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        if len(temp):
-            sensor_idx = temp["addr"]
-            times_all = self._times_of(temp["tsc"])
-            values_all = temp["value"].astype(np.float64)
-            for idx in np.unique(sensor_idx):
-                idx = int(idx)
-                if idx >= len(self.sensor_names) or idx < 0:
-                    raise TraceError(
-                        f"{self.node_name}: TEMP record for sensor index "
-                        f"{idx} but only {len(self.sensor_names)} sensors "
-                        "declared"
-                    )
-                mask = sensor_idx == idx
-                out[self.sensor_names[idx]] = (
-                    times_all[mask], values_all[mask]
-                )
-        # Sensors that never produced a sample still appear, empty.
-        for name in self.sensor_names:
-            if name not in out:
-                out[name] = (np.empty(0), np.empty(0))
-        return out
-
 
 # ----------------------------------------------------------------------
 # Cluster-level driver
@@ -1819,14 +1639,13 @@ class StreamingRunProfiler:
 
     def __init__(self, symtab: SymbolTable, *, sampling_hz: float = 4.0,
                  strict: bool = False, min_samples_for_stats: int = 1,
-                 meta: Optional[dict] = None, vectorized: bool = True,
+                 meta: Optional[dict] = None,
                  hcct_budget: Optional[int] = None):
         self.symtab = symtab
         self.sampling_hz = float(sampling_hz)
         self.strict = strict
         self.min_samples_for_stats = min_samples_for_stats
         self.meta = dict(meta or {})
-        self.vectorized = vectorized
         #: per-node hot calling-context tree budget (None = no trees)
         self.hcct_budget = hcct_budget
         self.accumulators: dict[str, ProfileAccumulator] = {}
@@ -1844,7 +1663,6 @@ class StreamingRunProfiler:
                 sampling_hz=self.sampling_hz,
                 strict=self.strict,
                 min_samples_for_stats=self.min_samples_for_stats,
-                vectorized=self.vectorized,
                 hcct_budget=self.hcct_budget,
             )
             self.accumulators[node_name] = acc
@@ -1897,7 +1715,6 @@ class StreamingRunProfiler:
 def stream_spool_profile(directory, *, chunk_records: Optional[int] = None,
                          strict: bool = False,
                          min_samples_for_stats: int = 1,
-                         vectorized: bool = True,
                          hcct_budget: Optional[int] = None) -> RunProfile:
     """Constant-memory profile of a spool directory.
 
@@ -1925,7 +1742,6 @@ def stream_spool_profile(directory, *, chunk_records: Optional[int] = None,
         strict=strict,
         min_samples_for_stats=min_samples_for_stats,
         meta=meta,
-        vectorized=vectorized,
         hcct_budget=hcct_budget,
     )
     size = chunk_records or STREAM_CHUNK_RECORDS
@@ -1941,15 +1757,16 @@ def stream_spool_profile(directory, *, chunk_records: Optional[int] = None,
 def stream_bundle_profile(bundle, *, chunk_records: Optional[int] = None,
                           strict: bool = True,
                           min_samples_for_stats: int = 1,
-                          vectorized: bool = True,
                           hcct_budget: Optional[int] = None) -> RunProfile:
     """Stream an in-memory :class:`~repro.core.trace.TraceBundle`.
 
     The batch parser (``TempestParser``) is the canonical path for
     bundles, but it builds flat profiles only; this routes the same
     records through the streaming accumulators, which is how a bundle
-    grows a hot calling-context tree (``hcct_budget``).  Chunked so the
-    HCCT's chunk-boundary eviction actually engages on long traces.
+    grows a hot calling-context tree (``hcct_budget``) and what
+    ``tempest check`` cross-checks the parser against (TL018).  Chunked
+    so the HCCT's chunk-boundary eviction actually engages on long
+    traces.
     """
     from repro.core.spool import STREAM_CHUNK_RECORDS
 
@@ -1960,7 +1777,6 @@ def stream_bundle_profile(bundle, *, chunk_records: Optional[int] = None,
         strict=strict,
         min_samples_for_stats=min_samples_for_stats,
         meta=dict(bundle.meta),
-        vectorized=vectorized,
         hcct_budget=hcct_budget,
     )
     for name, trace in bundle.nodes.items():

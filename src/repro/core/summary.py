@@ -75,6 +75,21 @@ SUMMARY_FORMATS_ACCEPTED = ("tempest-summary-v1", "tempest-summary-v2")
 _ROOT = "<root>"
 
 
+def _field(obj: dict, key: str, kind: type):
+    """``obj[key]``, an empty *kind* when absent; ``TypeError`` when the
+    decoded value has another JSON type."""
+    value = obj.get(key, kind())
+    if not isinstance(value, kind):
+        raise TypeError(f"{key!r} is {type(value).__name__}, "
+                        f"not {kind.__name__}")
+    return value
+
+
+def _require_object(obj, what: str) -> None:
+    if not isinstance(obj, dict):
+        raise TraceError(f"{what} is {type(obj).__name__}, not an object")
+
+
 @dataclass
 class NodeSummary:
     """One node's mergeable profile state (everything but raw records)."""
@@ -281,21 +296,28 @@ class NodeSummary:
     def from_dict(cls, obj: dict) -> "NodeSummary":
         from repro.core.cct import ContextTree
 
+        _require_object(obj, "node summary")
         try:
             span = obj.get("span")
             hcct = obj.get("hcct")
+            stats = _field(obj, "stats", dict)
+            for fname, per in stats.items():
+                if not isinstance(per, dict):
+                    raise TypeError(f"stats of {fname!r} is "
+                                    f"{type(per).__name__}, not dict")
             return cls(
                 node_name=str(obj["node"]),
                 sensor_names=[str(s) for s in obj["sensor_names"]],
                 n_records=int(obj.get("n_records", 0)),
                 total_s={str(k): float(v)
-                         for k, v in obj.get("total_s", {}).items()},
-                exclusive_s={str(k): float(v)
-                             for k, v in obj.get("exclusive_s", {}).items()},
+                         for k, v in _field(obj, "total_s", dict).items()},
+                exclusive_s={
+                    str(k): float(v)
+                    for k, v in _field(obj, "exclusive_s", dict).items()},
                 calls={str(k): int(v)
-                       for k, v in obj.get("calls", {}).items()},
+                       for k, v in _field(obj, "calls", dict).items()},
                 arcs={(str(c), str(f)): int(n)
-                      for c, f, n in obj.get("arcs", [])},
+                      for c, f, n in _field(obj, "arcs", list)},
                 span=None if span is None else (float(span[0]),
                                                 float(span[1])),
                 stats={
@@ -303,11 +325,12 @@ class NodeSummary:
                         str(s): OnlineStats.from_state(state)
                         for s, state in per.items()
                     }
-                    for fname, per in obj.get("stats", {}).items()
+                    for fname, per in stats.items()
                 },
                 sensor_summary={
                     str(s): OnlineStats.from_state(state)
-                    for s, state in obj.get("sensor_summary", {}).items()
+                    for s, state in _field(obj, "sensor_summary",
+                                           dict).items()
                 },
                 context_tree=(None if hcct is None
                               else ContextTree.from_dict(hcct)),
@@ -401,18 +424,26 @@ class RunSummary:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "RunSummary":
+        """Decode a summary document; any malformation is a
+        :class:`TraceError` (the boundary for SUMMARY frames and lab
+        blobs)."""
+        _require_object(obj, "summary")
         fmt = obj.get("format")
         if fmt not in SUMMARY_FORMATS_ACCEPTED:
             raise TraceError(
                 f"summary declares format {fmt!r}, expected one of "
                 f"{list(SUMMARY_FORMATS_ACCEPTED)}"
             )
-        hz = obj.get("sampling_hz")
+        try:
+            hz = obj.get("sampling_hz")
+            nodes = _field(obj, "nodes", dict)
+            meta = dict(_field(obj, "meta", dict))
+            hz = None if hz is None else float(hz)
+        except (TypeError, ValueError) as exc:
+            raise TraceError(f"malformed summary: {exc}")
         return cls(
-            nodes={
-                str(name): NodeSummary.from_dict(ns)
-                for name, ns in obj.get("nodes", {}).items()
-            },
-            sampling_hz=None if hz is None else float(hz),
-            meta=dict(obj.get("meta", {})),
+            nodes={str(name): NodeSummary.from_dict(ns)
+                   for name, ns in nodes.items()},
+            sampling_hz=hz,
+            meta=meta,
         )

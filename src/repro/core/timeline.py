@@ -325,16 +325,7 @@ def _event_arrays(records: np.ndarray, symtab: SymbolTable, seconds_fn):
     if not mask.all():
         records = records[mask]
         kind = records["kind"]
-    tsc = records["tsc"]
-    try:
-        times = np.asarray(seconds_fn(tsc), dtype=np.float64)
-        if times.shape != tsc.shape:
-            raise TypeError("seconds_fn is not elementwise")
-    except (TypeError, ValueError, AttributeError) as exc:
-        # seconds_fn is not vectorizable; fall back to per-record calls.
-        _log.debug("seconds_fn %r is not elementwise (%s); converting "
-                   "record-by-record", seconds_fn, exc)
-        times = np.array([seconds_fn(int(v)) for v in tsc], dtype=np.float64)
+    times = tsc_seconds(seconds_fn, records["tsc"])
     uniq, inverse = np.unique(records["addr"], return_inverse=True)
     names = [symtab.name_of(int(a)) for a in uniq]
     return (kind == REC_ENTER), inverse, names, times, \
@@ -355,6 +346,26 @@ def _event_lists(records, symtab: SymbolTable, seconds_fn):
         times.append(seconds_fn(rec.tsc))
         pids.append(rec.pid)
     return kinds, names, times, pids
+
+
+def tsc_seconds(seconds_fn, tsc: np.ndarray) -> np.ndarray:
+    """Convert a TSC column to float64 seconds with ``seconds_fn``.
+
+    Calls ``seconds_fn`` once on the whole column; a calibration that is
+    not elementwise (raises, or returns the wrong shape) is applied
+    record by record instead, with identical results.  The one TSC
+    conversion behind the timeline builder, the batch parser's sensor
+    series and the streaming accumulator.
+    """
+    try:
+        times = np.asarray(seconds_fn(tsc), dtype=np.float64)
+        if times.shape != tsc.shape:
+            raise TypeError("seconds_fn is not elementwise")
+    except (TypeError, ValueError, AttributeError) as exc:
+        _log.debug("seconds_fn %r is not elementwise (%s); converting "
+                   "record-by-record", seconds_fn, exc)
+        times = np.array([seconds_fn(int(v)) for v in tsc], dtype=np.float64)
+    return times
 
 
 # ----------------------------------------------------------------------

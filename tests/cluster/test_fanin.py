@@ -25,6 +25,7 @@ from repro.cluster.wire import (
     FT_HELLO,
     FT_HELLO_ACK,
     FT_SUMMARY,
+    WireError,
     decode_json,
     encode_json_frame,
     leaf_hello_payload,
@@ -155,6 +156,24 @@ def test_root_applies_last_write_wins_by_seq(four_node_spool):
     assert ftype == FT_EOF_ACK
     assert decode_json(payload)["last_seq"] == 2
     assert root.all_drained()
+
+
+def test_hostile_summary_is_a_wire_error_and_keeps_held_snapshot(
+        four_node_spool):
+    root_hub = LoopbackHub()
+    t, _ = _leaf_session(root_hub)
+    good = _snapshot(four_node_spool, ["node1"])
+    t.send(encode_json_frame(FT_SUMMARY, summary_payload(
+        "leaf1", "default", 1, good.n_records, good.to_dict())))
+    root = root_hub.aggregator
+    held = root.leaves["leaf1"].summary.to_dict()
+    hostile = summary_payload("leaf1", "default", 2, 0, {
+        "format": "tempest-summary-v2", "nodes": {"node1": None}})
+    with pytest.raises(WireError):
+        root.on_summary("leaf1", json.dumps(hostile).encode())
+    leaf = root.leaves["leaf1"]
+    assert leaf.last_seq == 1
+    assert leaf.summary.to_dict() == held
 
 
 def test_unsatisfied_leaf_eof_allows_resend_on_same_connection(

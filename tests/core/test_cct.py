@@ -19,7 +19,7 @@ import pytest
 from repro.core.cct import HCCT_ROOT, ContextTree, hottest_first
 from repro.core.profilemodel import RunProfile
 from repro.util.errors import TraceError
-from tests.core.difftrace import generate_deep_trace, generate_trace
+from tests.core.difftrace import generate_deep_trace
 from tests.core.test_streamprof import make_acc
 
 REL = 1e-9
@@ -105,10 +105,14 @@ def test_budget_below_one_rejected():
         ContextTree(["TEMP"], budget=-3)
 
 
-def test_batch_mode_rejects_hcct():
-    trace, symtab = generate_trace(0)
+@pytest.mark.parametrize("doc", [
+    [],
+    {"sensor_names": ["TEMP"],
+     "nodes": [[1, 0, "main", 1.0, 1, 0.0, [{"n": 0}]]]},
+], ids=["not-an-object", "sensor-block-list"])
+def test_from_dict_rejects_malformed_documents(doc):
     with pytest.raises(TraceError):
-        make_acc(trace, symtab, batch=True, hcct_budget=64)
+        ContextTree.from_dict(doc)
 
 
 # ----------------------------------------------------------------------

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from repro.core import instrument
+from repro.core.parser import profile_records
 from repro.core.records import RecordColumns
 from repro.core.session import TempestSession
 from repro.core.stats import SensorStats, compute_sensor_stats
@@ -224,6 +225,13 @@ def assert_profiles_equivalent(a, b):
         assert sa.sdv == pytest.approx(sb.sdv, rel=1e-9, abs=1e-12)
 
 
+def batch_profile(trace, symtab, *, strict=False, **kw):
+    """The batch parser's profile of one node trace (the reference)."""
+    return profile_records(
+        trace.columns.array, trace.node_name, symtab, trace.seconds,
+        trace.sensor_names, sampling_hz=4.0, strict=strict, **kw)
+
+
 def stream_profile(trace, symtab, chunk_records, **kw):
     acc = make_acc(trace, symtab, **kw)
     if chunk_records is None:
@@ -338,7 +346,7 @@ def assert_stream_matches_batch(stream_prof, batch_prof):
 def test_streaming_matches_batch_on_monotone_trace():
     trace, symtab = synth_trace(n_quads=1500, seed=23)
     stream_prof = stream_profile(trace, symtab, 512)
-    batch_prof = stream_profile(trace, symtab, None, batch=True)
+    batch_prof = batch_profile(trace, symtab)
     assert_stream_matches_batch(stream_prof, batch_prof)
 
 
@@ -350,7 +358,7 @@ def test_streaming_matches_batch_exact_inclusive_sums():
     stream.)"""
     trace, symtab = synth_trace(n_quads=800, seed=5)
     stream_prof = stream_profile(trace, symtab, 64)
-    batch_prof = stream_profile(trace, symtab, None, batch=True)
+    batch_prof = batch_profile(trace, symtab)
     for name, bf in batch_prof.functions.items():
         assert stream_prof.functions[name].total_time_s == bf.total_time_s
         assert stream_prof.functions[name].exclusive_time_s == \
@@ -405,8 +413,7 @@ def test_lenient_repair_matches_batch_builder():
         ("x", REC_EXIT, 6_000_000, 1),
     ])
     stream_prof = stream_profile(trace, symtab, 1, strict=False)
-    batch_prof = stream_profile(trace, symtab, None, strict=False,
-                                batch=True)
+    batch_prof = batch_profile(trace, symtab)
     for name in batch_prof.functions:
         bf = batch_prof.functions[name]
         sf = stream_prof.functions[name]
@@ -621,8 +628,8 @@ def test_min_samples_zero_yields_empty_stats(batch):
     compute_sensor_stats on the uncovered sensor; now it carries
     SensorStats.empty() explicitly."""
     trace, symtab = uncovered_sensor_trace()
-    prof = stream_profile(trace, symtab, None if batch else 2,
-                          batch=batch, min_samples_for_stats=0)
+    prof = (batch_profile(trace, symtab, min_samples_for_stats=0) if batch
+            else stream_profile(trace, symtab, 2, min_samples_for_stats=0))
     fp = prof.functions["f"]
     assert fp.significant
     assert fp.sensor_stats["S0"].n == 1
@@ -634,6 +641,7 @@ def test_min_samples_zero_yields_empty_stats(batch):
 @pytest.mark.parametrize("batch", [True, False])
 def test_min_samples_default_suppresses_uncovered_sensor(batch):
     trace, symtab = uncovered_sensor_trace()
-    prof = stream_profile(trace, symtab, None if batch else 2, batch=batch)
+    prof = (batch_profile(trace, symtab) if batch
+            else stream_profile(trace, symtab, 2))
     fp = prof.functions["f"]
     assert set(fp.sensor_stats) == {"S0"}        # unchanged default shape

@@ -28,6 +28,7 @@ from tests.core.difftrace import generate_trace
 from tests.core.test_streamprof import (
     assert_profiles_equivalent,
     assert_stream_matches_batch,
+    batch_profile,
     make_acc,
 )
 
@@ -67,7 +68,7 @@ def test_differential_three_way(seed):
         # skew-bounded (documented divergence); for them the
         # vectorized==scalar and chunking-invariance checks above and
         # below are the binding ones.
-        _, batch = stream(trace, symtab, None, batch=True)
+        batch = batch_profile(trace, symtab)
         assert_stream_matches_batch(fast, batch)
     else:
         _, whole = stream(trace, symtab, None)
@@ -91,7 +92,7 @@ def test_tl018_green_on_fault_injected_bundles(seed):
     trace, symtab = generate_trace(seed, adversarial=True)
     chunk = CHUNK_SIZES[seed % len(CHUNK_SIZES)]
     _, fast = stream(trace, symtab, chunk)
-    _, batch = stream(trace, symtab, None, batch=True)
+    batch = batch_profile(trace, symtab)
     wrap = lambda prof: RunProfile(nodes={prof.node_name: prof},
                                    sampling_hz=4.0, meta={})
     assert compare_profiles(wrap(batch), wrap(fast)) == []

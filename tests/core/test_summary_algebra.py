@@ -1,6 +1,5 @@
 """The mergeable-summary algebra: merge laws, split closure, and
-serialization round-trips at every layer (estimator, node, run,
-finished profile).
+serialization round-trips at every layer (estimator, node, run).
 
 The contract under test (documented in ``repro.core.summary`` and
 ``docs/INTERNALS.md``): ``merge`` is associative and commutative with
@@ -18,11 +17,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.core.stats import SensorStats, compute_sensor_stats
+from repro.core.stats import compute_sensor_stats
 from repro.core.streamprof import OnlineStats
 from repro.core.summary import SUMMARY_FORMAT, NodeSummary, RunSummary
 from repro.core.trace import NodeTrace, REC_ENTER, REC_EXIT
-from repro.util.errors import ConfigError, TraceError
+from repro.util.errors import TraceError
 
 from tests.core.test_streamprof import (
     make_acc,
@@ -350,28 +349,30 @@ def test_from_dict_rejects_wrong_format():
         RunSummary.from_dict({"format": "tempest-summary-v0", "nodes": {}})
 
 
-# ----------------------------------------------------------------------
-# SensorStats closure (the finished-statistics layer)
-
-def test_sensor_stats_merge_moments_match_batch():
-    a = quantized_samples(400, seed=3)
-    b = quantized_samples(700, seed=4)
-    m = compute_sensor_stats(a).merge(compute_sensor_stats(b))
-    exact = compute_sensor_stats(np.concatenate([a, b]))
-    assert (m.n, m.min, m.max) == (exact.n, exact.min, exact.max)
-    assert m.avg == pytest.approx(exact.avg, rel=1e-9)
-    assert m.var == pytest.approx(exact.var, rel=1e-9)
-    assert m.sdv == pytest.approx(exact.sdv, rel=1e-9)
-    # med/mod are documented best-effort on finished statistics; the
-    # same-population split stays within half a degree.
-    assert m.med == pytest.approx(exact.med, abs=0.5)
-    assert m.min <= m.mod <= m.max
+_MALFORMED_SUMMARIES = {
+    "not-an-object": [],
+    "nodes-not-an-object": {"format": SUMMARY_FORMAT, "nodes": 5},
+    "node-not-an-object": {"format": SUMMARY_FORMAT, "nodes": {"a": None}},
+    "sampling-hz-not-a-number": {"format": SUMMARY_FORMAT,
+                                 "sampling_hz": "x"},
+    "meta-not-an-object": {"format": SUMMARY_FORMAT, "meta": [1]},
+}
 
 
-def test_sensor_stats_empty_identity():
-    st = compute_sensor_stats(quantized_samples(64))
-    assert SensorStats.empty().merge(st) == st
-    assert st.merge(SensorStats.empty()) == st
+@pytest.mark.parametrize("doc", list(_MALFORMED_SUMMARIES.values()),
+                         ids=list(_MALFORMED_SUMMARIES))
+def test_run_summary_rejects_malformed_documents(doc):
+    with pytest.raises(TraceError):
+        RunSummary.from_dict(doc)
+
+
+@pytest.mark.parametrize("key,value", [("total_s", []),
+                                       ("stats", {"f": []})],
+                         ids=["total-s-list", "stats-block-list"])
+def test_node_summary_rejects_malformed_blocks(key, value):
+    with pytest.raises(TraceError):
+        NodeSummary.from_dict({"node": "a", "sensor_names": ["S0"],
+                               key: value})
 
 
 # ----------------------------------------------------------------------
@@ -457,47 +458,6 @@ def test_run_summary_rejects_sampling_rate_conflict():
     a = RunSummary(sampling_hz=4.0)
     with pytest.raises(TraceError):
         a.merge(RunSummary(sampling_hz=8.0))
-
-
-# ----------------------------------------------------------------------
-# Finished-profile closure (profilemodel merges)
-
-def test_node_profile_merge_closure_on_split():
-    trace, symtab = synth_trace(n_quads=300, seed=53)
-    whole_acc = make_acc(trace, symtab)
-    whole_acc.consume(trace.columns.array)
-    whole = whole_acc.finalize()
-
-    cuts = empty_stack_cuts(trace.columns.array, n_cuts=1, seed=9)
-    left, right = split_summaries(trace, symtab, cuts)
-    merged_prof = left.to_node_profile(sampling_hz=4.0).merge(
-        right.to_node_profile(sampling_hz=4.0), sampling_hz=4.0)
-
-    assert set(merged_prof.functions) == set(whole.functions)
-    assert dict(merged_prof.timeline.arcs) == dict(whole.timeline.arcs)
-    for name, fw in whole.functions.items():
-        fm = merged_prof.functions[name]
-        assert fm.n_calls == fw.n_calls
-        assert fm.total_time_s == pytest.approx(fw.total_time_s, rel=1e-9)
-        assert fm.exclusive_time_s == pytest.approx(fw.exclusive_time_s,
-                                                    rel=1e-9)
-        for sensor, sw in fw.sensor_stats.items():
-            sm = fm.sensor_stats[sensor]
-            assert (sm.n, sm.min, sm.max) == (sw.n, sw.min, sw.max)
-            assert sm.avg == pytest.approx(sw.avg, rel=1e-9)
-            assert sm.var == pytest.approx(sw.var, rel=1e-9, abs=1e-12)
-
-
-def test_profile_merges_reject_mismatched_names():
-    trace, symtab = synth_trace(n_quads=30, seed=61)
-    acc = make_acc(trace, symtab)
-    acc.consume(trace.columns.array)
-    prof = acc.finalize()
-    other = prof.functions[next(iter(prof.functions))]
-    different = [f for f in prof.functions.values()
-                 if f.name != other.name][0]
-    with pytest.raises(ConfigError):
-        other.merge(different)
 
 
 # ----------------------------------------------------------------------
